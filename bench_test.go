@@ -417,9 +417,10 @@ func BenchmarkTelemetryHotPathDisabled(b *testing.B) {
 }
 
 // benchFabrics are the scaling-benchmark topologies. Fabric latencies
-// are widened to 2 µs so the conservative lookahead window (the minimum
-// cross-shard link latency) holds enough events per barrier round to
-// amortize synchronization; see DESIGN.md ("Parallel simulation").
+// are widened to 2 µs so each shard pair's lookahead (its minimum
+// cross-shard link latency) lets enough events run between pair-clock
+// waits to amortize synchronization; see DESIGN.md ("Parallel
+// simulation").
 func benchFabrics(b *testing.B) []struct {
 	name string
 	topo *topology.Topology

@@ -56,11 +56,6 @@ type Config struct {
 	// the determinism contract. With shards, every switch-to-switch
 	// link crossing a shard boundary must have positive latency.
 	Shards int
-	// Lookahead overrides the parallel engine's conservative lookahead.
-	// Zero derives it from the topology (the minimum latency of any
-	// cross-shard switch-to-switch link); a non-zero value larger than
-	// that minimum is rejected at build time.
-	Lookahead sim.Duration
 	// ShardOf, when set, pins each switch to a shard in [0, Shards).
 	// Nil assigns switches round-robin in topology order.
 	ShardOf func(node topology.NodeID) int
@@ -501,37 +496,10 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 		}
 		shard[sw.ID] = s
 	}
-	// Conservative lookahead: no cross-shard interaction may undercut
-	// it. The only cross-shard sends the emulation performs are wire
-	// hops, so the bound is the minimum latency of any switch-to-switch
-	// link whose endpoints land on different shards.
-	minCross := sim.Duration(-1)
-	for _, sw := range cfg.Topo.Switches {
-		for _, peer := range sw.Ports {
-			if peer.Kind != topology.PeerSwitch || shard[sw.ID] == shard[peer.Node] {
-				continue
-			}
-			l := sim.Duration(peer.Latency)
-			if l <= 0 {
-				return nil, nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
-			}
-			if minCross < 0 || l < minCross {
-				minCross = l
-			}
-		}
-	}
-	la := cfg.Lookahead
-	switch {
-	case la <= 0:
-		la = minCross
-		if la < 0 {
-			// No link crosses shards; any lookahead is causally safe.
-			la = sim.Millisecond
-		}
-	case minCross >= 0 && la > minCross:
-		return nil, nil, fmt.Errorf("emunet: lookahead %d exceeds minimum cross-shard link latency %d", la, minCross)
-	}
-	p := sim.NewParallel(cfg.Seed, cfg.Shards, la)
+	// The engine-wide lookahead only seeds the default complete pair
+	// graph, which SetShardLinks below replaces with the topology's
+	// own pairs; any positive value will do.
+	p := sim.NewParallel(cfg.Seed, cfg.Shards, cfg.ObserverMinLatency)
 	for _, sw := range cfg.Topo.Switches {
 		p.Place(doms[sw.ID], shard[sw.ID])
 	}
@@ -546,6 +514,8 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	// whose sender lands on the pair's source shard and receiver on its
 	// destination shard — wire hops are scheduled with the sending
 	// port's latency, so that bound is exact, not merely conservative.
+	// Wire hops are the only cross-shard sends between switches, so a
+	// zero-latency link across shards has no lookahead and is refused.
 	type shardPair struct{ from, to int }
 	pairMin := make(map[shardPair]sim.Duration)
 	declare := func(from, to int, l sim.Duration) {
@@ -559,9 +529,14 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	}
 	for _, sw := range cfg.Topo.Switches {
 		for _, peer := range sw.Ports {
-			if peer.Kind == topology.PeerSwitch {
-				declare(shard[sw.ID], shard[peer.Node], sim.Duration(peer.Latency))
+			if peer.Kind != topology.PeerSwitch {
+				continue
 			}
+			from, to, l := shard[sw.ID], shard[peer.Node], sim.Duration(peer.Latency)
+			if from != to && l <= 0 {
+				return nil, nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
+			}
+			declare(from, to, l)
 		}
 	}
 	// Every switch shard reports snapshot results to the observer's

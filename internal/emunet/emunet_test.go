@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"speedlight/internal/clock"
@@ -712,6 +713,39 @@ func TestPerLinkRates(t *testing.T) {
 	}
 	if lastAt > sim.Time(200*sim.Microsecond) {
 		t.Errorf("burst took %v µs: serialization model off", lastAt.Micros())
+	}
+}
+
+// TestShardedRejectsZeroLatencyCrossShardLink: a zero-latency switch
+// link gives its shard pair no lookahead, so the sharded engine is
+// refused at build time — but only when the link actually crosses
+// shards. Round-robin placement keeps s0 and s2 together; ShardOf
+// splits them.
+func TestShardedRejectsZeroLatencyCrossShardLink(t *testing.T) {
+	b := topology.NewBuilder()
+	s0, s1, s2 := b.AddSwitch(3), b.AddSwitch(3), b.AddSwitch(3)
+	for _, s := range []topology.NodeID{s0, s1, s2} {
+		b.AttachHost(s, 0, sim.Microsecond)
+	}
+	b.Connect(s0, 1, s1, 1, sim.Microsecond)
+	b.Connect(s1, 2, s2, 1, sim.Microsecond)
+	b.Connect(s0, 2, s2, 2, 0)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Topo: topo, Seed: 1, Shards: 2}); err != nil {
+		t.Fatalf("zero-latency link inside one shard rejected: %v", err)
+	}
+	_, err = New(Config{Topo: topo, Seed: 1, Shards: 2,
+		ShardOf: func(n topology.NodeID) int {
+			if n == s2 {
+				return 1
+			}
+			return 0
+		}})
+	if err == nil || !strings.Contains(err.Error(), "positive cross-shard link latency") {
+		t.Fatalf("zero-latency cross-shard link: err = %v, want the positive-latency error", err)
 	}
 }
 

@@ -575,7 +575,7 @@ func (fa *fnAnalysis) call(env flow.Env, call *ast.CallExpr) flow.Env {
 	env = fa.expr(env, call.Fun)
 
 	// append(dst, pkt) moves the value into the destination slice —
-	// the evq/mailbox push pattern; other builtins only borrow.
+	// the event-queue push pattern; other builtins only borrow.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := fa.c.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			for i, arg := range call.Args {

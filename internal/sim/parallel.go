@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -45,12 +46,11 @@ import (
 // on per-shard rings the coordinator drains while the epoch runs, and
 // execute at the fence in global key order.
 //
-// Engines with a zero-lookahead pair cannot free-run (a pair clock
-// never gets ahead of its neighbor), so they fall back to the legacy
-// lockstep round: every shard executes below a shared horizon of
-// min-event-time plus the minimum pair lookahead, with a barrier per
-// round. That path exists for compatibility with lookahead-0
-// configurations; real topologies always have positive link latency.
+// When only one shard has work below the fence, the coordinator runs it
+// inline (a solo run) up to its minimum outbound lookahead, skipping the
+// worker dispatch. Every pair lookahead must be positive: NewParallel
+// and SetShardLinks reject a zero or negative one, since a pair clock
+// that can never get ahead of its neighbor would stall the epoch.
 //
 // Determinism. Event order within a shard follows the same
 // (time, src, seq) key as the serial Engine; cross-shard events carry
@@ -75,19 +75,15 @@ import (
 type Parallel struct {
 	lookahead Duration
 	now       Time // driver/global-context clock (low-water mark)
-	horizon   Time // legacy lockstep round bound, valid while roundActive
-	// roundActive marks shard execution in flight (epoch, lockstep
-	// round, or inline solo run). Written by the coordinator strictly
-	// before dispatching and after joining, so worker reads are ordered
-	// by the dispatch channel and the barrier.
-	roundActive bool
+	// running marks shard execution in flight (an epoch or an inline
+	// solo run). Written by the coordinator strictly before dispatching
+	// and after joining, so worker reads are ordered by the dispatch
+	// channel and the barrier.
+	running bool
 	// solo marks an inline single-shard run on the coordinator: no
 	// other shard is executing, so cross-shard sends push straight into
 	// the target queue instead of the rings.
-	solo bool
-	// epochMode selects free-running epochs (every declared pair has
-	// positive lookahead) over legacy lockstep rounds.
-	epochMode bool
+	solo      bool
 	finalized bool
 	domains   []pardom
 	shards    []*pshard
@@ -97,12 +93,9 @@ type Parallel struct {
 	fired     uint64 // events executed in global context
 	wg        sync.WaitGroup
 	workersUp bool
-	active    []*pshard  // per-round scratch
-	staged    [][]*Event // lockstep mid-round ring drains, per target shard
 	links     []ShardLink
-	custom    bool     // SetShardLinks was called: unlisted pairs panic
-	minL      Duration // min declared pair lookahead (lockstep horizon step)
-	ringCap   int      // per-pair ring capacity; settable before the first Run (tests)
+	custom    bool // SetShardLinks was called: unlisted pairs panic
+	ringCap   int  // per-pair ring capacity; settable before the first Run (tests)
 	// wall is the injected wall-clock source for the barrier profiler
 	// (nil = profiling disabled, zero cost). Virtual time cannot measure
 	// synchronization skew — shards at the same fence burn different
@@ -178,7 +171,7 @@ type stashedEv struct {
 // pshard is one shard: an event queue, its pair-clock publication, its
 // inbound/outbound rings, and the shard's event free list.
 type pshard struct {
-	q        evq
+	q        eventHeap
 	pool     eventPool
 	now      Time
 	fired    uint64
@@ -201,11 +194,10 @@ type pshard struct {
 	pub atomic.Int64
 	_   [56]byte
 
-	// Profiling state. roundWorkNs (lockstep/solo) and the epoch*
-	// fields are written by the owning worker during a round or epoch
-	// and read by the coordinator after the barrier; the cumulative
-	// fields and cached counters are coordinator-context only.
-	roundWorkNs int64
+	// Profiling state. The epoch* fields are written by the shard's
+	// current executor (its worker during an epoch, the coordinator
+	// during a solo run) and folded by the coordinator afterwards; the
+	// cumulative fields and cached counters are coordinator-context only.
 	epochWorkNs int64
 	epochWaitNs int64
 	epochActive bool
@@ -236,30 +228,31 @@ func (sh *pshard) nextTime() Time {
 }
 
 // NewParallel returns a sharded engine with the given worker shard
-// count and conservative lookahead. The lookahead must not exceed the
-// minimum virtual-time latency of any cross-shard interaction the
-// simulation performs; larger values are detected at run time as
-// causality violations. By default every ordered shard pair is a
-// channel at this lookahead; SetShardLinks narrows the set to the
-// pairs the topology actually wires, with per-pair lookaheads.
-// Randomness derives entirely from seed, exactly as in NewEngine.
+// count and conservative lookahead. The lookahead must be positive and
+// must not exceed the minimum virtual-time latency of any cross-shard
+// interaction the simulation performs; a value <= 0 panics, and larger
+// values are detected at run time as causality violations. By default
+// every ordered shard pair is a channel at this lookahead;
+// SetShardLinks narrows the set to the pairs the topology actually
+// wires, with per-pair lookaheads. Randomness derives entirely from
+// seed, exactly as in NewEngine.
 func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 	if shards < 1 {
 		shards = 1
 	}
-	if lookahead < 0 {
-		lookahead = 0
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: lookahead %d: sharded simulation needs a positive cross-shard latency", lookahead))
 	}
 	p := &Parallel{
 		lookahead: lookahead,
 		rng:       rand.New(rand.NewSource(seed)),
 		seedSrc:   rand.New(rand.NewSource(seed ^ 0x5eed_11a7)),
-		global:    &pshard{q: newEvq()},
+		global:    &pshard{},
 		shards:    make([]*pshard, shards),
 		domains:   []pardom{{shard: -1}}, // GlobalDomain
 	}
 	for i := range p.shards {
-		p.shards[i] = &pshard{q: newEvq(), idx: i}
+		p.shards[i] = &pshard{idx: i}
 	}
 	return p
 }
@@ -267,16 +260,12 @@ func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 // Shards returns the worker shard count.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
-// Lookahead returns the configured engine-wide lookahead (the default
-// pair lookahead when no explicit link set was declared).
-func (p *Parallel) Lookahead() Duration { return p.lookahead }
-
 // SetShardLinks declares the directed cross-shard channels the
 // simulation will actually use, replacing the default complete pair
 // graph. Each link's lookahead must be a true lower bound on the
-// latency of every send from From to To; a send on a pair not in the
-// set panics. Duplicate pairs keep the smallest lookahead. Must be
-// called before the first Run*.
+// latency of every send from From to To, and positive; a send on a
+// pair not in the set panics. Duplicate pairs keep the smallest
+// lookahead. Must be called before the first Run*.
 func (p *Parallel) SetShardLinks(links []ShardLink) {
 	if p.finalized {
 		panic("sim: SetShardLinks after the first Run")
@@ -289,8 +278,8 @@ func (p *Parallel) SetShardLinks(links []ShardLink) {
 		if l.From == l.To {
 			panic(fmt.Sprintf("sim: self shard link %d->%d", l.From, l.To))
 		}
-		if l.Lookahead < 0 {
-			panic(fmt.Sprintf("sim: negative lookahead on shard link %d->%d", l.From, l.To))
+		if l.Lookahead <= 0 {
+			panic(fmt.Sprintf("sim: shard link %d->%d lookahead %d: sharded simulation needs a positive cross-shard latency", l.From, l.To, l.Lookahead))
 		}
 	}
 	p.links = append(p.links[:0], links...)
@@ -343,31 +332,14 @@ func (p *Parallel) finalize() {
 		from.out[l.To] = outPair{ring: r, la: l.Lookahead}
 		to.in = append(to.in, inPair{src: from, srcIdx: l.From, la: l.Lookahead, ring: r})
 	}
-	p.minL = Duration(maxTime)
-	zero := false
 	for _, sh := range p.shards {
 		sort.Slice(sh.in, func(a, b int) bool { return sh.in[a].srcIdx < sh.in[b].srcIdx })
-		for j := range sh.out {
-			la := sh.out[j].la
-			if la < 0 {
-				continue
-			}
-			if la < sh.minOutLa {
-				sh.minOutLa = la
-			}
-			if la < p.minL {
-				p.minL = la
-			}
-			if la == 0 {
-				zero = true
+		for _, op := range sh.out {
+			if op.la >= 0 && op.la < sh.minOutLa {
+				sh.minOutLa = op.la
 			}
 		}
 	}
-	if p.minL == Duration(maxTime) {
-		p.minL = p.lookahead
-	}
-	p.epochMode = !zero
-	p.staged = make([][]*Event, n)
 	p.ensurePairCounters()
 }
 
@@ -386,7 +358,7 @@ func (p *Parallel) Place(domain, shard int) {
 }
 
 func (p *Parallel) ensureDomain(domain int) {
-	if p.roundActive {
+	if p.running {
 		panic("sim: domain table grown during a round")
 	}
 	for len(p.domains) <= domain {
@@ -418,12 +390,12 @@ func (p *Parallel) NewRand() *rand.Rand {
 // cumulative totals are also published as the counters
 // speedlight_sim_round_work_ns and speedlight_sim_barrier_wait_ns,
 // labeled by shard: work is the wall time a shard spent executing
-// events, wait is the wall time it spent stalled on a neighbor's pair
-// clock or idling out an epoch — the direct diagnostic for
-// shard-scaling plateaus. Per-pair stall attribution is additionally
-// published as speedlight_sim_blocked_on_shard_ns labeled
-// waiter/holdup, and available through BlockedProfile. Call before the
-// first Run*; not safe during a round.
+// events in epochs and solo runs, wait is the wall time it spent
+// stalled on a neighbor's pair clock or idling out an epoch — the
+// direct diagnostic for shard-scaling plateaus. Per-pair stall
+// attribution is additionally published as
+// speedlight_sim_blocked_on_shard_ns labeled waiter/holdup, and
+// available through BlockedProfile. Call before the first Run*.
 func (p *Parallel) EnableBarrierMetrics(reg *telemetry.Registry, nowNs func() int64) {
 	if nowNs == nil {
 		return
@@ -433,10 +405,10 @@ func (p *Parallel) EnableBarrierMetrics(reg *telemetry.Registry, nowNs func() in
 		return
 	}
 	workV := reg.CounterVec("speedlight_sim_round_work_ns",
-		"Wall nanoseconds each shard spent executing events inside epochs and rounds.",
+		"Wall nanoseconds each shard spent executing events in epochs and solo runs.",
 		"shard")
 	waitV := reg.CounterVec("speedlight_sim_barrier_wait_ns",
-		"Wall nanoseconds each shard spent stalled on pair clocks or idling out epochs.",
+		"Wall nanoseconds each shard spent stalled on pair clocks or idle, across epochs and solo runs.",
 		"shard")
 	for i, sh := range p.shards {
 		lbl := strconv.Itoa(i)
@@ -471,7 +443,7 @@ func (p *Parallel) ensurePairCounters() {
 // accounting.
 type BarrierShardStats struct {
 	Shard  int
-	Rounds uint64 // epochs/rounds the shard executed events in
+	Rounds uint64 // epochs and solo runs the shard executed events in
 	WorkNs int64  // wall time spent executing events
 	WaitNs int64  // wall time spent stalled on pair clocks or idling
 }
@@ -614,8 +586,8 @@ func (p *Parallel) RunUntil(t Time) {
 func (p *Parallel) RunFor(d Duration) { p.RunUntil(p.now.Add(d)) }
 
 // run is the coordinator loop: alternate serial global events and
-// shard execution (free-running epochs, inline solo runs, or legacy
-// lockstep rounds) until no event below limit remains.
+// shard execution (free-running epochs or inline solo runs) until no
+// event below limit remains.
 func (p *Parallel) run(limit Time) {
 	p.finalize()
 	defer p.stopWorkers()
@@ -653,17 +625,6 @@ func (p *Parallel) run(limit Time) {
 		if limit < fence {
 			fence = limit
 		}
-		if !p.epochMode {
-			horizon := s.Add(p.minL)
-			if horizon <= s {
-				horizon = s + 1 // progress under zero lookahead (or overflow)
-			}
-			if fence < horizon {
-				horizon = fence
-			}
-			p.runRound(horizon)
-			continue
-		}
 		busy := 0
 		var bsh *pshard
 		for _, sh := range p.shards {
@@ -684,31 +645,29 @@ func (p *Parallel) run(limit Time) {
 // to the point where another shard could legally receive work (its
 // minimum outbound lookahead) or the fence, whichever is first. No
 // worker dispatch, no rings: with every other shard quiet, cross-shard
-// sends push straight into the target queue.
+// sends push straight into the target queue. Its wall time is
+// accounted as one epoch of pure work.
 func (p *Parallel) soloRun(sh *pshard, fence Time) {
 	head := sh.nextTime()
 	lim := head.Add(sh.minOutLa)
 	if lim < head {
 		lim = maxTime // overflow, or no outbound pairs at all
-	} else if lim == head {
-		lim = head + 1
 	}
 	if fence < lim {
 		lim = fence
 	}
-	p.active = append(p.active[:0], sh)
-	p.roundActive, p.solo = true, true
+	var t0 int64
 	if p.wall != nil {
-		t0 := p.wall()
-		t := p.wall()
-		p.process(sh, lim)
-		sh.roundWorkNs = p.wall() - t
-		p.roundActive, p.solo = false, false
-		p.accountRound(p.wall()-t0, p.active)
-		return
+		t0 = p.wall()
 	}
-	p.process(sh, lim)
-	p.roundActive, p.solo = false, false
+	p.running, p.solo = true, true
+	p.processBatch(sh, lim, math.MaxInt)
+	p.running, p.solo = false, false
+	if p.wall != nil {
+		sh.epochWorkNs += p.wall() - t0
+		sh.epochActive = true
+		p.foldEpoch()
+	}
 }
 
 // runEpoch free-runs every shard below fence under the per-pair
@@ -723,7 +682,7 @@ func (p *Parallel) runEpoch(fence, s Time) {
 	for _, sh := range p.shards {
 		sh.pub.Store(int64(s))
 	}
-	p.roundActive = true
+	p.running = true
 	p.startWorkers()
 	n := int32(len(p.shards))
 	p.wg.Add(len(p.shards))
@@ -743,65 +702,10 @@ func (p *Parallel) runEpoch(fence, s Time) {
 		runtime.Gosched()
 	}
 	p.wg.Wait()
-	p.roundActive = false
+	p.running = false
 	if p.wall != nil {
 		p.foldEpoch()
 	}
-	p.drainRings()
-	p.raisePanics()
-}
-
-// runRound is the legacy lockstep path for zero-lookahead pair graphs:
-// every shard with events below horizon executes them behind a shared
-// bound, with a barrier per round. Cross-shard sends still travel on
-// the rings; the coordinator drains them mid-round (into a staging
-// area — the target's queue is its worker's to touch) to keep full
-// rings from wedging a producer against a parked consumer.
-func (p *Parallel) runRound(horizon Time) {
-	active := p.active[:0]
-	for _, sh := range p.shards {
-		if sh.nextTime() < horizon {
-			active = append(active, sh)
-		}
-	}
-	p.active = active
-	p.horizon = horizon
-	p.roundActive = true
-	var t0 int64
-	if p.wall != nil {
-		t0 = p.wall()
-	}
-	if len(active) == 1 {
-		// Single busy shard: run inline, skip the barrier round-trip.
-		sh := active[0]
-		p.solo = true
-		if p.wall != nil {
-			t := p.wall()
-			p.process(sh, horizon)
-			sh.roundWorkNs = p.wall() - t
-		} else {
-			p.process(sh, horizon)
-		}
-		p.solo = false
-	} else {
-		p.startWorkers()
-		p.done.Store(0)
-		p.wg.Add(len(active))
-		for _, sh := range active {
-			sh.job <- horizon
-		}
-		n := int32(len(active))
-		for p.done.Load() < n {
-			p.pollRings()
-			runtime.Gosched()
-		}
-		p.wg.Wait()
-	}
-	p.roundActive = false
-	if p.wall != nil {
-		p.accountRound(p.wall()-t0, active)
-	}
-	p.flushStaged()
 	p.drainRings()
 	p.raisePanics()
 }
@@ -828,36 +732,7 @@ func (p *Parallel) raisePanics() {
 	}
 }
 
-// accountRound folds one lockstep round's (or solo run's) wall-clock
-// duration into each active shard's work/wait split: a shard's wait is
-// the round's wall duration minus the time its own worker spent
-// draining events. Coordinator context, after the barrier — the
-// workers' roundWorkNs writes are ordered by wg.Wait.
-func (p *Parallel) accountRound(roundNs int64, active []*pshard) {
-	if roundNs < 0 {
-		roundNs = 0
-	}
-	for _, sh := range active {
-		work := sh.roundWorkNs
-		sh.roundWorkNs = 0
-		if work < 0 {
-			work = 0
-		}
-		if work > roundNs {
-			work = roundNs // clock skew between reader contexts
-		}
-		wait := roundNs - work
-		sh.statRounds++
-		sh.statWorkNs += work
-		sh.statWaitNs += wait
-		if sh.workC != nil {
-			sh.workC.Add(uint64(work))
-			sh.waitC.Add(uint64(wait))
-		}
-	}
-}
-
-// foldEpoch folds the workers' per-epoch accounting into the
+// foldEpoch folds the per-epoch (or solo-run) accounting into the
 // cumulative per-shard and per-pair totals. Coordinator context, after
 // the barrier.
 func (p *Parallel) foldEpoch() {
@@ -981,9 +856,10 @@ func (p *Parallel) epochLoop(sh *pshard, fence Time) {
 }
 
 // processBatch drains up to max of one shard's events below lim in
-// (time, src, seq) order. Worker context, inside an epoch. Fired and
-// cancelled events return to this shard's pool — the popping context
-// owns the recycle.
+// (time, src, seq) order. Runs on the shard's worker inside an epoch,
+// or inline on the coordinator (with no batch limit) during a solo run.
+// Fired and cancelled events return to this shard's pool — the popping
+// context owns the recycle.
 //
 //speedlight:hotpath
 //speedlight:shard
@@ -992,31 +868,6 @@ func (p *Parallel) processBatch(sh *pshard, lim Time, max int) {
 		top := sh.q.peek()
 		if top == nil || top.at >= lim {
 			return
-		}
-		sh.q.pop()
-		if top.canceled {
-			sh.pool.put(top)
-			continue
-		}
-		sh.now = top.at
-		sh.fired++
-		top.fire()
-		sh.pool.put(top)
-	}
-}
-
-// process drains one shard's events below horizon in (time, src, seq)
-// order. Runs on the shard's worker during lockstep rounds, or inline
-// on the coordinator during solo runs. Fired and cancelled events
-// return to this shard's pool — the popping context owns the recycle.
-//
-//speedlight:hotpath
-//speedlight:shard
-func (p *Parallel) process(sh *pshard, horizon Time) {
-	for {
-		top := sh.q.peek()
-		if top == nil || top.at >= horizon {
-			break
 		}
 		sh.q.pop()
 		if top.canceled {
@@ -1085,45 +936,6 @@ func (p *Parallel) drainRings() {
 	p.drainGlobalRings()
 }
 
-// pollRings is the coordinator's mid-lockstep-round drain: cross-shard
-// arrivals go to a per-target staging area (the target queue belongs
-// to its worker until the barrier), global sends straight to the
-// global queue. In lockstep mode the coordinator is every ring's
-// consumer — the workers only produce.
-//
-//speedlight:global-only
-func (p *Parallel) pollRings() {
-	for _, sh := range p.shards {
-		for k := range sh.in {
-			ip := &sh.in[k]
-			for {
-				ev := ip.ring.tryPop()
-				if ev == nil {
-					break
-				}
-				p.staged[sh.idx] = append(p.staged[sh.idx], ev)
-			}
-		}
-	}
-	p.drainGlobalRings()
-}
-
-// flushStaged pushes mid-round staged arrivals into their target
-// queues. Coordinator context, after the barrier.
-//
-//speedlight:global-only
-func (p *Parallel) flushStaged() {
-	for i, st := range p.staged {
-		if len(st) == 0 {
-			continue
-		}
-		for _, ev := range st {
-			p.shards[i].q.push(ev)
-		}
-		p.staged[i] = st[:0]
-	}
-}
-
 // pushRing hands one cross-shard (or shard-to-global) event to its
 // pair ring. The fast path is a single tryPush; the slow path sheds
 // backpressure without deadlock.
@@ -1137,24 +949,20 @@ func (p *Parallel) pushRing(sh *pshard, r *evRing, ev *Event, tgt int) {
 	p.pushRingSlow(sh, r, ev, tgt)
 }
 
-// pushRingSlow spins on a full ring. In epoch mode the producer drains
-// its own inbound rings while it waits — every ring's consumer is
-// always either free-running or in this loop, so every full ring is
-// eventually drained and the wait graph cannot deadlock. If the epoch
-// is torn down mid-spin (another worker panicked), the event is parked
-// in the overflow stash for the coordinator to route after the
-// barrier. In lockstep mode the coordinator is the consumer and is
-// polling concurrently, so a plain yield loop suffices.
+// pushRingSlow spins on a full ring. The producer drains its own
+// inbound rings while it waits — every ring's consumer is always either
+// free-running or in this loop, so every full ring is eventually
+// drained and the wait graph cannot deadlock. If the epoch is torn down
+// mid-spin (another worker panicked), the event is parked in the
+// overflow stash for the coordinator to route after the barrier.
 func (p *Parallel) pushRingSlow(sh *pshard, r *evRing, ev *Event, tgt int) {
 	for {
-		if p.epochMode {
-			for k := range sh.in {
-				p.drainRing(sh, sh.in[k].ring)
-			}
-			if p.epochDone.Load() {
-				sh.overflow = append(sh.overflow, stashedEv{tgt: tgt, ev: ev})
-				return
-			}
+		for k := range sh.in {
+			p.drainRing(sh, sh.in[k].ring)
+		}
+		if p.epochDone.Load() {
+			sh.overflow = append(sh.overflow, stashedEv{tgt: tgt, ev: ev})
+			return
 		}
 		if r.tryPush(ev) {
 			return
@@ -1176,7 +984,7 @@ func (p *Parallel) startWorkers() {
 		job := make(chan Time, 1)
 		sh.job = job
 		go func(sh *pshard, job chan Time) {
-			for h := range job {
+			for fence := range job {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -1186,15 +994,7 @@ func (p *Parallel) startWorkers() {
 						p.done.Add(1)
 						p.wg.Done()
 					}()
-					if p.epochMode {
-						p.epochLoop(sh, h)
-					} else if p.wall != nil {
-						t := p.wall()
-						p.process(sh, h)
-						sh.roundWorkNs = p.wall() - t
-					} else {
-						p.process(sh, h)
-					}
+					p.epochLoop(sh, fence)
 				}()
 			}
 		}(sh, job)
@@ -1221,14 +1021,14 @@ type parProc struct {
 
 func (pr parProc) Domain() int { return pr.dom }
 
-// Now returns the domain's shard-local clock during rounds and the
+// Now returns the domain's shard-local clock while shards run and the
 // global clock otherwise (driver context, or a GlobalDomain event
 // executing with workers parked).
 //
 //speedlight:shard
 func (pr parProc) Now() Time {
 	p := pr.p
-	if p.roundActive {
+	if p.running {
 		if sh := p.shardOf(pr.dom); sh != nil {
 			return sh.now
 		}
@@ -1289,7 +1089,7 @@ func (pr parProc) SendCall(owner int, d Duration, fn CallFn, a, b any, i int64) 
 
 // sendAt schedules a callback in domain owner at time at, keyed by this
 // domain's schedule counter. The event comes from the scheduling
-// context's free list: the worker's own shard pool during a round
+// context's free list: the executing shard's own pool while shards run
 // (workers never reach another shard's pool), or — from driver/global
 // context, with every worker parked — the scheduling domain's home
 // pool. Cross-shard events travel the pair's ring (or go straight to
@@ -1322,7 +1122,7 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 	ds.seq++
 	h := Handle{ev: ev, gen: ev.gen}
 	tgt := p.domains[owner].shard
-	if !p.roundActive {
+	if !p.running {
 		// Coordinator or driver context: workers are parked, push
 		// straight into the owning queue.
 		if at < p.now {
@@ -1362,11 +1162,6 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 			panic(fmt.Sprintf(
 				"sim: causality violation: cross-shard send %d->%d at %d below the pair clock %d (pair lookahead %d exceeds the actual cross-shard latency)",
 				src, tgt, at, sh.now.Add(op.la), op.la))
-		}
-		if !p.epochMode && at < p.horizon {
-			panic(fmt.Sprintf(
-				"sim: causality violation: cross-shard send at %d inside round horizon %d (lookahead %d exceeds the minimum cross-shard latency)",
-				at, p.horizon, p.minL))
 		}
 		if p.solo {
 			p.shards[tgt].q.push(ev)

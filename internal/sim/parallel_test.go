@@ -165,26 +165,38 @@ func TestParallelExplicitPlacement(t *testing.T) {
 	}
 }
 
-// TestParallelZeroLookahead: degenerate lookahead still terminates and
-// matches the serial order (rounds collapse to single-timestamp width).
-func TestParallelZeroLookahead(t *testing.T) {
-	ref := formatRecords(runScenario(NewEngine(5), 4, 1))
-	got := formatRecords(runScenario(NewParallel(5, 2, 0), 4, 1))
-	if got != ref {
-		t.Error("zero-lookahead run diverges from serial")
+// TestParallelRejectsNonPositiveLookahead: a pair clock with zero
+// lookahead could never get ahead of its neighbor, so NewParallel
+// refuses a lookahead <= 0 loudly instead of running a degenerate
+// schedule.
+func TestParallelRejectsNonPositiveLookahead(t *testing.T) {
+	for _, la := range []Duration{0, -1} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("NewParallel(lookahead %d) did not panic", la)
+				}
+				if !strings.Contains(fmt.Sprint(r), "positive cross-shard latency") {
+					t.Fatalf("lookahead %d: unexpected panic: %v", la, r)
+				}
+			}()
+			NewParallel(5, 2, la)
+		}()
 	}
 }
 
-// TestParallelCausalityPanic: a cross-shard send below the round
-// horizon must panic — it means the configured lookahead overstates the
-// real minimum cross-shard latency.
+// TestParallelCausalityPanic: a cross-shard send below the sender's
+// pair clock (its time plus the pair lookahead) must panic — it means
+// the configured lookahead overstates the real minimum cross-shard
+// latency.
 func TestParallelCausalityPanic(t *testing.T) {
 	p := NewParallel(1, 2, 1000)
 	p.Place(1, 0)
 	p.Place(2, 1)
 	pr1, pr2 := p.Proc(1), p.Proc(2)
-	// Both shards have work below the horizon, so the round spans both;
-	// domain 1 then violates the 1000-tick lookahead promise.
+	// Both shards have work below the fence, so the epoch spans both;
+	// domain 1 then violates the 1000-tick pair lookahead.
 	pr2.Schedule(40, func() {})
 	pr1.Schedule(50, func() {
 		pr1.Send(2, 10, func() {})
@@ -192,7 +204,7 @@ func TestParallelCausalityPanic(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("cross-shard send inside the horizon did not panic")
+			t.Fatal("cross-shard send below the pair clock did not panic")
 		}
 		if !strings.Contains(fmt.Sprint(r), "causality violation") {
 			t.Fatalf("unexpected panic: %v", r)

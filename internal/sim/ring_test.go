@@ -186,8 +186,11 @@ func TestSetShardLinksValidation(t *testing.T) {
 	mustPanic("self", "self shard link", func() {
 		p.SetShardLinks([]ShardLink{{From: 1, To: 1, Lookahead: 1}})
 	})
-	mustPanic("negative", "negative lookahead", func() {
+	mustPanic("negative", "positive cross-shard latency", func() {
 		p.SetShardLinks([]ShardLink{{From: 0, To: 1, Lookahead: -1}})
+	})
+	mustPanic("zero", "positive cross-shard latency", func() {
+		p.SetShardLinks([]ShardLink{{From: 0, To: 1, Lookahead: 0}})
 	})
 
 	// Duplicates keep the min: a delay-5 send is legal under the

@@ -10,8 +10,8 @@
 //     with virtual nanosecond time and fully seeded randomness.
 //   - Parallel (parallel.go): a conservatively synchronized sharded
 //     engine that partitions simulation domains across worker
-//     goroutines and executes barrier rounds bounded by a link-latency
-//     lookahead.
+//     goroutines, each bounded by its inbound neighbors' published
+//     clocks plus the per-pair link-latency lookahead.
 //
 // Determinism contract. Every event carries a tie-break key
 // (time, src, seq): src is the scheduling domain and seq a per-domain
@@ -36,6 +36,7 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -81,7 +82,7 @@ func DurationOfMicros(us float64) Duration { return Duration(us * float64(Micros
 
 // GlobalDomain is the serializing domain: events owned by it execute
 // with exclusive access to the whole simulation (on the Parallel engine
-// they run between rounds, with every worker parked). Drivers,
+// they run between epochs, with every worker parked). Drivers,
 // observers and anything that touches more than one domain's state
 // belong here. It is also the domain of every event scheduled through
 // an engine's legacy top-level Schedule/After methods.
@@ -224,7 +225,10 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap orders events by (time, src domain, per-domain sequence).
+// eventHeap is one execution context's pending-event queue: a binary
+// heap in the engines' (time, src domain, per-domain sequence) order.
+// Len/Less/Swap/Push/Pop satisfy container/heap; the lower-case methods
+// are the queue operations the engines call.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int           { return len(h) }
@@ -247,6 +251,40 @@ func (h *eventHeap) Pop() any {
 	ev.index = -1
 	*h = old[:n-1]
 	return ev
+}
+
+//speedlight:hotpath
+//speedlight:pool-transfer ev
+func (h *eventHeap) push(ev *Event) { heap.Push(h, ev) }
+
+// pop removes and returns the earliest event (cancelled or not), or nil
+// when the queue is empty.
+//
+//speedlight:hotpath
+func (h *eventHeap) pop() *Event {
+	if len(*h) == 0 {
+		return nil
+	}
+	return heap.Pop(h).(*Event)
+}
+
+// peek returns the earliest event without removing it, or nil.
+//
+//speedlight:hotpath
+func (h eventHeap) peek() *Event {
+	if len(h) == 0 {
+		return nil
+	}
+	return h[0]
+}
+
+// remove unlinks an event that is currently queued (ev.index >= 0).
+func (h *eventHeap) remove(ev *Event) { heap.Remove(h, ev.index) }
+
+func (h eventHeap) forEach(f func(*Event)) {
+	for _, ev := range h {
+		f(ev)
+	}
 }
 
 // Sim is the contract shared by the serial Engine and the Parallel
@@ -334,7 +372,7 @@ type Proc interface {
 // for concurrent use.
 type Engine struct {
 	now     Time
-	q       evq
+	q       eventHeap
 	domSeq  []uint64 // per-domain schedule counters (the seq key)
 	pool    eventPool
 	rng     *rand.Rand
@@ -349,7 +387,6 @@ var _ Sim = (*Engine)(nil)
 // logic produce identical runs.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		q:   newEvq(),
 		rng: rand.New(rand.NewSource(seed)),
 		// The xor only decorrelates the substream-seed source from
 		// the main RNG stream.
