@@ -13,7 +13,8 @@ help:
 	@echo "  build        go build ./..."
 	@echo "  test         go test -shuffle=on ./..."
 	@echo "  race         go test -race ./..."
-	@echo "  lint         build speedlightvet and run the analyzer suite"
+	@echo "  lint         gofmt check, then build speedlightvet and run the"
+	@echo "               analyzer suite"
 	@echo "  hotgate      cross-check //speedlight:hotpath functions against"
 	@echo "               their //speedlight:allocgate allocation gates"
 	@echo "  vet          plain go vet"
@@ -36,11 +37,17 @@ test:
 race:
 	go test -race ./...
 
-# lint builds the protocol-invariant analyzer suite and runs it over
-# every package through the go vet driver. Standalone invocation
+# lint fails on any file gofmt would change (analyzer fixtures under
+# testdata/ keep their hand-aligned `// want` comments), then builds the
+# protocol-invariant analyzer suite and runs it over every package
+# through the go vet driver. Standalone invocation
 # (`bin/speedlightvet ./...`) covers the same set including _test.go
 # files and adds -format=github|sarif for CI annotation output.
 lint: $(SLVET)
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@start=$$(date +%s%N); status=0; \
 	go vet -vettool=$(SLVET) ./... || status=$$?; \
 	end=$$(date +%s%N); \

@@ -19,6 +19,7 @@ import (
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/experiments"
 	"speedlight/internal/journal"
+	"speedlight/internal/live"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
@@ -26,7 +27,6 @@ import (
 	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
-	"speedlight/internal/wire"
 )
 
 // BenchmarkTable1Resources regenerates Table 1: data-plane resource
@@ -656,7 +656,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 }
 
 // BenchmarkUDPSnapshot measures one complete snapshot round over the
-// real UDP deployment: initiation datagrams out, result datagrams back,
+// live runtime's UDP transport: initiation datagrams out, result datagrams back,
 // global assembly.
 func BenchmarkUDPSnapshot(b *testing.B) {
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
@@ -667,14 +667,15 @@ func BenchmarkUDPSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := wire.Deploy(wire.Config{Topo: ls.Topology})
+	n, err := live.New(live.Config{Topo: ls.Topology, UDP: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.Close()
+	n.Start()
+	defer n.Stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, done, err := d.TakeSnapshot()
+		_, done, err := n.TakeSnapshot(0)
 		if err != nil {
 			b.Fatal(err)
 		}

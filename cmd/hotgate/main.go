@@ -43,10 +43,10 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	hot := map[string]token.Position{}  // hotpath fn -> decl position
-	gated := map[string][]string{}      // hotpath fn -> gate test names
-	var annotations []site              // every allocgate name, for staleness
-	misplaced := []site{}               // allocgate outside a Test/Benchmark
+	hot := map[string]token.Position{} // hotpath fn -> decl position
+	gated := map[string][]string{}     // hotpath fn -> gate test names
+	var annotations []site             // every allocgate name, for staleness
+	misplaced := []site{}              // allocgate outside a Test/Benchmark
 
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -189,24 +189,8 @@ func campaign() {
 	}
 
 	if *metricsAddr != "" {
-		health := telemetry.NewHealth()
-		mc := telemetry.MuxConfig{
-			Registry: cfg.Registry,
-			Tracer:   cfg.Tracer,
-			Health:   health,
-			Journal:  journal.HTTPHandler(cfg.Journal.Events),
-			Audit:    audit.HTTPHandler(net.Audit),
-		}
-		if cfg.Snapstore != nil {
-			mc.Snapshots = snapstore.HTTPHandler(cfg.Snapstore.View)
-			health.AddCheck("snapstore-lag",
-				snapstore.HealthCheck(cfg.Snapstore, net.Inner().CompletedEpochs, 8))
-		}
-		if cfg.Invariants != nil {
-			mc.Invariants = invariant.HTTPHandler(cfg.Invariants)
-		}
-		mc.EpochTrace = epochtrace.HTTPHandler(net.EpochTraces, net.BlockedProfile)
-		health.SetReady(true)
+		mc := net.Inner().Sink().MuxConfig(cfg.Registry, cfg.Tracer, net.BlockedProfile)
+		mc.Health.SetReady(true)
 		srv, err := telemetry.ServeConfig(*metricsAddr, mc)
 		if err != nil {
 			fatalf("metrics server: %v", err)

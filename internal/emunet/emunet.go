@@ -31,6 +31,7 @@ import (
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
 	"speedlight/internal/sim"
+	"speedlight/internal/sink"
 	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
@@ -169,9 +170,6 @@ type Config struct {
 	// Network.Audit() can mechanically verify the run. Nil disables
 	// journaling at one nil check per potential event.
 	Journal *journal.Set
-	// FlightRecorderSize is how many trailing events an anomaly dump
-	// carries. Zero means 512.
-	FlightRecorderSize int
 	// OnAnomaly, when set, fires when a snapshot finalizes inconsistent
 	// or with exclusions, or when a repeat retry of the same snapshot
 	// shows recovery is not unsticking it —
@@ -396,10 +394,9 @@ type Network struct {
 	utilized map[topology.NodeID]map[[2]int]bool
 	sws      map[topology.NodeID]*EmuSwitch
 	obs      *observer.Observer
-	done     []*observer.GlobalSnapshot
-	// completed counts assembled global snapshots (atomic: health
-	// probes read it concurrently with the global domain).
-	completed atomic.Uint64
+	// sink is the observer's completion path: done list, anomaly dumps,
+	// snapstore ingest, invariants, audit and the served endpoints.
+	sink *sink.Sink
 	// retried marks snapshots the observer has already retried once;
 	// a repeat retry means recovery is not unsticking them.
 	retried map[packet.SeqID]bool
@@ -616,11 +613,15 @@ func New(cfg Config) (*Network, error) {
 	n.deliverGlobalFn = n.deliverGlobalCall
 	n.cpFn = n.cpCall
 
-	// Stamp the deployment parameters into the journal so offline
-	// audits (doctor) recover them without side-channel configuration.
-	if cfg.Journal != nil {
-		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
-	}
+	n.sink = sink.New(sink.Config{
+		MaxID:        cfg.MaxID,
+		WrapAround:   cfg.WrapAround,
+		ChannelState: cfg.ChannelState,
+		Journal:      cfg.Journal,
+		OnAnomaly:    cfg.OnAnomaly,
+		Snapstore:    cfg.Snapstore,
+		Invariants:   cfg.Invariants,
+	})
 
 	obs, err := observer.New(observer.Config{
 		MaxID:        cfg.MaxID,
@@ -631,28 +632,13 @@ func New(cfg Config) (*Network, error) {
 		Tracer:       cfg.Tracer,
 		Journal:      cfg.Journal.Observer(),
 		OnComplete: func(g *observer.GlobalSnapshot) {
-			n.done = append(n.done, g)
 			delete(n.retried, g.ID)
-			n.completed.Add(1)
 			var sync sim.Duration
 			if d, ok := n.SyncSpread(g.ID); ok {
 				sync = d
 				n.tel.syncSpreadUS.Observe(d.Micros())
 			}
-			if !g.Consistent {
-				n.anomaly(fmt.Sprintf("snapshot %d finalized inconsistent", g.ID), g.ID)
-			} else if len(g.Excluded) > 0 {
-				n.anomaly(fmt.Sprintf("snapshot %d finalized with %d device(s) excluded", g.ID, len(g.Excluded)), g.ID)
-			}
-			if st := n.cfg.Snapstore; st != nil {
-				ep := st.Ingest(g, sync)
-				st.RecordLag(n.completed.Load())
-				if eng := n.cfg.Invariants; eng != nil {
-					for _, viol := range eng.Eval(st.View(), ep) {
-						n.anomaly(viol.String(), g.ID)
-					}
-				}
-			}
+			n.sink.Complete(g, sync)
 		},
 	})
 	if err != nil {
@@ -917,12 +903,16 @@ func (n *Network) Gauge(id dataplane.UnitID) *counters.Gauge {
 }
 
 // Snapshots returns the global snapshots completed so far.
-func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.done }
+func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.sink.Snapshots() }
 
 // CompletedEpochs returns how many global snapshots the observer has
 // assembled. Safe from any goroutine; with Snapstore.Sealed it yields
 // the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.completed.Load() }
+func (n *Network) CompletedEpochs() uint64 { return n.sink.CompletedEpochs() }
+
+// Sink returns the observer's completion path, which also builds the
+// served endpoint set.
+func (n *Network) Sink() *sink.Sink { return n.sink }
 
 // Journal returns the flight-recorder set the network was built with,
 // or nil when journaling is disabled.
@@ -932,12 +922,7 @@ func (n *Network) Journal() *journal.Set { return n.cfg.Journal }
 // tree, critical path) from the journal. Nil when journaling is
 // disabled. Driver context only — the reconstruction reads the merged
 // journal.
-func (n *Network) EpochTraces() []*epochtrace.EpochTrace {
-	if n.cfg.Journal == nil {
-		return nil
-	}
-	return epochtrace.Build(n.cfg.Journal.Events())
-}
+func (n *Network) EpochTraces() []*epochtrace.EpochTrace { return n.sink.EpochTraces() }
 
 // BarrierProfile returns the sharded engine's cumulative per-shard
 // work/wait split, or nil on a serial engine or when no Registry was
@@ -971,36 +956,7 @@ func (n *Network) BlockedProfile() []epochtrace.ShardBlocking {
 
 // Audit replays the journal and verifies every snapshot's consistency
 // invariants. Nil when journaling is disabled.
-func (n *Network) Audit() *audit.Report {
-	if n.cfg.Journal == nil {
-		return nil
-	}
-	return audit.Run(n.cfg.Journal.Events(), audit.Config{
-		MaxID:        uint64(n.cfg.MaxID),
-		Wraparound:   n.cfg.WrapAround,
-		ChannelState: n.cfg.ChannelState,
-	})
-}
-
-// anomaly dumps the flight recorder to the OnAnomaly hook. It runs in
-// the observer's domain (snapshot finalization) or the global domain
-// (recovery timeouts). The journal tail it captures is built from
-// per-slot atomic reads and merged deterministically, so reading it
-// beside concurrently appending shards is safe; entries mid-publication
-// on other shards may simply miss the dump, which a flight recorder
-// tolerates.
-//
-//speedlight:shard
-func (n *Network) anomaly(reason string, id packet.SeqID) {
-	if n.cfg.OnAnomaly == nil {
-		return
-	}
-	size := n.cfg.FlightRecorderSize
-	if size <= 0 {
-		size = 512
-	}
-	n.cfg.OnAnomaly(reason, id, n.cfg.Journal.Tail(size))
-}
+func (n *Network) Audit() *audit.Report { return n.sink.Audit() }
 
 // Observer exposes the snapshot observer.
 func (n *Network) Observer() *observer.Observer { return n.obs }
@@ -1143,6 +1099,7 @@ func (n *Network) InjectFromHost(host topology.HostID, pkt *packet.Packet) {
 // the given scheduling handle. p must be either the global proc or the
 // host's own switch proc (HostProc) — i.e. the domain the calling event
 // runs in.
+//
 //speedlight:pool-transfer pkt
 func (n *Network) InjectFrom(p sim.Proc, host topology.HostID, pkt *packet.Packet) {
 	h := n.topo.Host(host)
@@ -1181,6 +1138,7 @@ func (n *Network) NewPacketFor(host topology.HostID) *packet.Packet {
 // arriveCall, txCall, deliverLocalCall, deliverGlobalCall and cpCall
 // are the closure-free event callbacks behind the per-packet schedules
 // (bound once into the *Fn fields at construction).
+//
 //speedlight:pool-transfer b
 //speedlight:shard
 func (n *Network) arriveCall(a, b any, i int64) {
@@ -1531,7 +1489,7 @@ func (n *Network) handleTimeouts() {
 			// A single retry is routine §6 liveness (idle channels need
 			// broadcast injection); a repeat means the snapshot is stuck.
 			if n.retried[act.SnapshotID] {
-				n.anomaly(fmt.Sprintf("snapshot %d stalled; retrying %d device(s)", act.SnapshotID, len(act.Retry)), act.SnapshotID)
+				n.sink.Anomaly(fmt.Sprintf("snapshot %d stalled; retrying %d device(s)", act.SnapshotID, len(act.Retry)), act.SnapshotID)
 			}
 			n.retried[act.SnapshotID] = true
 		}

@@ -1,5 +1,5 @@
 // Package lockorder proves two locking properties of the protocol
-// packages (dataplane, live, wire, sim, snapstore, emunet, packet)
+// packages (dataplane, live, sink, sim, snapstore, emunet, packet)
 // on the CFG:
 //
 //  1. Unlock-on-every-path: a mutex acquired in a function must be
@@ -49,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 var scoped = map[string]bool{
 	"dataplane": true,
 	"live":      true,
-	"wire":      true,
+	"sink":      true,
 	"sim":       true,
 	"snapstore": true,
 	"emunet":    true,
@@ -57,9 +57,9 @@ var scoped = map[string]bool{
 }
 
 // lockKey is one held lock: class is the type-level identity used for
-// ordering edges ("wire.Deployment.obsMu"); instance adds the receiver
+// ordering edges ("live.Network.obsMu"); instance adds the receiver
 // expression so re-acquire detection does not confuse two values of
-// the same type ("d.obsMu").
+// the same type ("n.obsMu").
 type lockKey struct{ class, instance string }
 
 func (k lockKey) encode() string { return k.class + "\x00" + k.instance }

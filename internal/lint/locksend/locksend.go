@@ -7,7 +7,7 @@
 // channel send, network write, or sleep under a mutex can stall every
 // packet behind it and, in live mode, deadlock against the reader
 // goroutine. locksend performs an intraprocedural scan of dataplane,
-// live, and wire: between a Lock/RLock and its Unlock (including
+// live, and sink: between a Lock/RLock and its Unlock (including
 // deferred unlocks, which hold to function end) it flags channel sends,
 // selects without a default, net reads/writes, and time.Sleep.
 package locksend
@@ -23,14 +23,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "locksend",
 	Doc: "flag channel sends, net I/O, and sleeps while holding a sync.Mutex/RWMutex " +
-		"in dataplane, live, and wire (non-blocking data-plane discipline)",
+		"in dataplane, live, and sink (non-blocking data-plane discipline)",
 	Run: run,
 }
 
 var scoped = map[string]bool{
 	"dataplane": true,
 	"live":      true,
-	"wire":      true,
+	"sink":      true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -17,9 +17,14 @@ import (
 // snapshot under real concurrency, and exercises the full diagnostic
 // surface: /healthz, /readyz, /journal (both formats), and /audit.
 func TestJournalAndHealthEndpoints(t *testing.T) {
+	eachTransport(t, testJournalAndHealthEndpoints)
+}
+
+func testJournalAndHealthEndpoints(t *testing.T, udp bool) {
 	ls := leafSpine(t)
 	n, err := New(Config{
 		Topo:        ls.Topology,
+		UDP:         udp,
 		MetricsAddr: "127.0.0.1:0",
 		Journal:     journal.NewSet(0),
 	})
@@ -116,10 +121,15 @@ func TestJournalAndHealthEndpoints(t *testing.T) {
 // live runtime but must stay silent on a clean start/stop. The
 // deterministic fault-injection coverage lives in the emunet tests.
 func TestLiveCleanRunNoAnomaly(t *testing.T) {
+	eachTransport(t, testLiveCleanRunNoAnomaly)
+}
+
+func testLiveCleanRunNoAnomaly(t *testing.T, udp bool) {
 	var dumps int
 	ls := leafSpine(t)
 	n, err := New(Config{
 		Topo:    ls.Topology,
+		UDP:     udp,
 		Journal: journal.NewSet(0),
 		OnAnomaly: func(reason string, id packet.SeqID, dump []journal.Event) {
 			t.Errorf("clean run fired anomaly %q for snapshot %d (%d events)", reason, id, len(dump))

@@ -1,22 +1,26 @@
 // Package live runs a Speedlight deployment as real concurrent Go:
 // every switch is a goroutine owning its data plane and control plane,
-// links are channels between switch goroutines, and the snapshot
+// links are messages between switch goroutines, and the snapshot
 // observer runs in its own goroutine with wall-clock initiation timers.
+//
+// Messages travel over one of two transports: bounded in-process
+// channels (the default), or datagrams over loopback UDP sockets, which
+// puts the kernel and the binary codec in the loop. The runtime above
+// the transport is the same either way.
 //
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
-// internal/observer); this runtime demonstrates it under genuine
-// asynchrony — goroutine scheduling, real queueing in channels, and
-// wall-clock time — the way a deployment across real switch CPUs would
-// run it. Experiments use the simulator for reproducibility; this
-// package is the "production shaped" engine.
+// internal/observer), and completed snapshots take the same completion
+// path (internal/sink); this runtime demonstrates it under genuine
+// asynchrony — goroutine scheduling, real queueing, and wall-clock
+// time — the way a deployment across real switch CPUs would run it.
+// Experiments use the simulator for reproducibility.
 package live
 
 import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"speedlight/internal/audit"
@@ -24,13 +28,13 @@ import (
 	"speedlight/internal/core"
 	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
 	"speedlight/internal/sim"
+	"speedlight/internal/sink"
 	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
@@ -51,8 +55,10 @@ type Config struct {
 	// packet counters.
 	Metrics func(id dataplane.UnitID) core.Metric
 
-	// InboxDepth bounds each switch's event inbox. Default 4096.
-	InboxDepth int
+	// UDP carries every message as a datagram over loopback UDP
+	// sockets instead of in-process channels: each switch and the
+	// observer bind a data socket and a control socket.
+	UDP bool
 
 	// OnDeliver observes packets reaching hosts. Called from switch
 	// goroutines; must be safe for concurrent use.
@@ -69,10 +75,9 @@ type Config struct {
 	// observer goroutine.
 	Tracer *telemetry.Tracer
 	// MetricsAddr, when non-empty, serves the observability endpoints
-	// (Prometheus /metrics, expvar /debug/vars, /debug/pprof, /trace,
-	// /healthz, /readyz, and — when journaling is on — /journal and
-	// /audit) on this address from Start until Stop. A Registry (and
-	// Tracer) is created automatically if none was provided.
+	// (see sink.Sink.MuxConfig) on this address from Start until Stop.
+	// A Registry (and Tracer) is created automatically if none was
+	// provided.
 	MetricsAddr string
 
 	// Journal, when set, records every protocol event into per-switch
@@ -80,142 +85,81 @@ type Config struct {
 	// and safe for the concurrent switch goroutines. Nil disables
 	// journaling at zero hot-path cost.
 	Journal *journal.Set
-	// FlightRecorderSize bounds the tail dumped on anomaly. Default
-	// 512.
-	FlightRecorderSize int
 	// OnAnomaly receives a flight-recorder dump whenever a snapshot
-	// finalizes inconsistent or with excluded devices. Called from the
-	// observer goroutine; must not block.
+	// finalizes inconsistent or with excluded devices, or an invariant
+	// fails. Called from the observer goroutine with the observer
+	// locked; must not block or call back into the network.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
 	// Snapstore, when set, ingests every completed global snapshot as a
-	// sealed delta-encoded epoch (internal/snapstore). Ingestion runs on
-	// the observer goroutine; with MetricsAddr set the query plane is
-	// served at /snapshots, and a readiness check flips /readyz when
-	// ingestion lags the observer by more than SnapstoreLagMax epochs.
+	// sealed delta-encoded epoch (internal/snapstore), on the observer
+	// goroutine.
 	Snapstore *snapstore.Store
-	// SnapstoreLagMax is the ingestion-lag readiness threshold in
-	// epochs. Zero means 8.
-	SnapstoreLagMax uint64
 	// Invariants, when set, streams every epoch sealed into Snapstore
 	// through the registered invariants (internal/invariant); each
-	// violation fires OnAnomaly with a flight-recorder dump, and with
-	// MetricsAddr set the status endpoint is served at /invariants.
-	// Requires Snapstore.
+	// violation fires OnAnomaly. Requires Snapstore.
 	Invariants *invariant.Engine
 }
 
-// event is one unit of work for a switch goroutine.
-type event struct {
-	kind eventKind
-	pkt  *packet.Packet
-	port int
-	// initiation
-	snapshotID packet.SeqID
-	// markers asks the initiation to also inject marker broadcasts, the
-	// Section 6 liveness mechanism for traffic-free channels (used on
-	// recovery retries in channel-state mode).
-	markers bool
-	// poll request
-	done chan struct{}
-}
-
-type eventKind int
-
-const (
-	evPacket eventKind = iota
-	evInitiate
-	evPoll
-)
-
 // liveSwitch is one switch goroutine's state.
 type liveSwitch struct {
-	node  topology.NodeID
-	dp    *dataplane.Switch
-	cp    *control.Plane
-	inbox chan event
-	// events counts this switch goroutine's processed events
+	node topology.NodeID
+	dp   *dataplane.Switch
+	cp   *control.Plane
+	// events counts this switch goroutine's processed messages
 	// (per-switch throughput).
 	events *telemetry.Counter
 }
 
-// Network is a running live deployment.
+// Network is a live deployment. Endpoint i of its transport is switch
+// topology.NodeID(i); the observer is the last endpoint.
 type Network struct {
-	cfg  Config
-	topo *topology.Topology
-	sws  map[topology.NodeID]*liveSwitch
+	cfg   Config
+	topo  *topology.Topology
+	sws   []*liveSwitch
+	tr    transport
+	obsEP int
 
-	obs       *observer.Observer
-	obsEvents chan obsEvent
+	// obsMu serializes the observer: results from its goroutine,
+	// timeouts from the retry ticker, and Begin from TakeSnapshot. It
+	// also orders Stop against TakeSnapshot.
+	obsMu sync.Mutex
+	obs   *observer.Observer
+	sink  *sink.Sink
 
 	started time.Time
 	wg      sync.WaitGroup
 	stop    chan struct{}
 	stopped sync.Once
 
-	mu   sync.Mutex
-	done []*observer.GlobalSnapshot
-	subs map[packet.SeqID]chan *observer.GlobalSnapshot
-
-	// completed counts assembled global snapshots (atomic: the
-	// snapstore lag readiness check reads it from probe handlers).
-	completed atomic.Uint64
-
 	tel    liveTelemetry
 	metSrv *telemetry.Server
-	health *telemetry.Health
 }
 
 // liveTelemetry is the runtime's own metric set: the queueing and
 // scheduling effects only the goroutine harness can see.
 type liveTelemetry struct {
-	inboxHighWater *telemetry.Gauge
-	inboxDrops     *telemetry.Counter
-	obsHighWater   *telemetry.Gauge
-	events         *telemetry.Counter
-	delivered      *telemetry.Counter
+	drops     *telemetry.Counter
+	events    *telemetry.Counter
+	delivered *telemetry.Counter
 }
 
 func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 	return liveTelemetry{
-		inboxHighWater: reg.Gauge("speedlight_live_inbox_high_water", "deepest switch inbox occupancy"),
-		inboxDrops:     reg.Counter("speedlight_live_inbox_drops_total", "packets dropped at full switch inboxes"),
-		obsHighWater:   reg.Gauge("speedlight_live_obs_queue_high_water", "deepest observer event-queue occupancy"),
-		events:         reg.Counter("speedlight_live_events_total", "events processed by switch goroutines"),
-		delivered:      reg.Counter("speedlight_live_packets_delivered_total", "packets delivered to hosts"),
+		drops:     reg.Counter("speedlight_live_inbox_drops_total", "messages dropped by the transport (full inbox or send error)"),
+		events:    reg.Counter("speedlight_live_events_total", "events processed by switch goroutines"),
+		delivered: reg.Counter("speedlight_live_packets_delivered_total", "packets delivered to hosts"),
 	}
 }
 
-// obsEvent is work for the observer goroutine.
-type obsEvent struct {
-	kind   obsKind
-	result control.Result
-	begin  chan beginReply
-}
-
-type obsKind int
-
-const (
-	obsResult obsKind = iota
-	obsBegin
-	obsTick
-)
-
-type beginReply struct {
-	id  packet.SeqID
-	err error
-}
-
-// New builds a live network. Call Start to launch its goroutines.
+// New builds a live network, binding its sockets when UDP is set. Call
+// Start to launch its goroutines and Stop to release them.
 func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("live: nil topology")
 	}
 	if cfg.MaxID == 0 {
 		cfg.MaxID = 256
-	}
-	if cfg.InboxDepth == 0 {
-		cfg.InboxDepth = 4096
 	}
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = 20 * time.Millisecond
@@ -232,27 +176,22 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	n := &Network{
-		cfg:       cfg,
-		topo:      cfg.Topo,
-		sws:       make(map[topology.NodeID]*liveSwitch),
-		obsEvents: make(chan obsEvent, 1024),
-		stop:      make(chan struct{}),
-		subs:      make(map[packet.SeqID]chan *observer.GlobalSnapshot),
-		tel:       newLiveTelemetry(cfg.Registry),
-		health:    telemetry.NewHealth(),
+		cfg:     cfg,
+		topo:    cfg.Topo,
+		obsEP:   len(cfg.Topo.Switches),
+		started: time.Now(),
+		stop:    make(chan struct{}),
+		tel:     newLiveTelemetry(cfg.Registry),
 	}
-	if cfg.Snapstore != nil {
-		lagMax := cfg.SnapstoreLagMax
-		if lagMax == 0 {
-			lagMax = 8
-		}
-		n.health.AddCheck("snapstore-lag",
-			snapstore.HealthCheck(cfg.Snapstore, n.CompletedEpochs, lagMax))
-	}
-	if cfg.Journal != nil {
-		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
-	}
-
+	n.sink = sink.New(sink.Config{
+		MaxID:        cfg.MaxID,
+		WrapAround:   cfg.WrapAround,
+		ChannelState: cfg.ChannelState,
+		Journal:      cfg.Journal,
+		OnAnomaly:    cfg.OnAnomaly,
+		Snapstore:    cfg.Snapstore,
+		Invariants:   cfg.Invariants,
+	})
 	obs, err := observer.New(observer.Config{
 		MaxID:      cfg.MaxID,
 		WrapAround: cfg.WrapAround,
@@ -260,7 +199,7 @@ func New(cfg Config) (*Network, error) {
 		Telemetry:  observer.NewTelemetry(cfg.Registry),
 		Tracer:     cfg.Tracer,
 		Journal:    cfg.Journal.Observer(),
-		OnComplete: n.onComplete,
+		OnComplete: func(g *observer.GlobalSnapshot) { n.sink.Complete(g, 0) },
 	})
 	if err != nil {
 		return nil, err
@@ -298,31 +237,35 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		ls := &liveSwitch{
-			node:   spec.ID,
-			dp:     dp,
-			inbox:  make(chan event, cfg.InboxDepth),
-			events: swEvents.With(fmt.Sprint(spec.ID)),
-		}
 		cp, err := control.New(control.Config{
 			Switch:    dp,
 			Telemetry: cpTel,
 			Journal:   cfg.Journal.For(int(spec.ID)),
 			OnResult: func(res control.Result) {
-				// Ship to the observer over its channel — the network
-				// path from switch CPU to observer host.
-				select {
-				case n.obsEvents <- obsEvent{kind: obsResult, result: res}:
-				case <-n.stop:
-				}
+				// Ship to the observer — the network path from switch
+				// CPU to observer host.
+				n.send(n.obsEP, msg{kind: msgResult, res: res}, true)
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
-		ls.cp = cp
-		n.sws[spec.ID] = ls
+		n.sws = append(n.sws, &liveSwitch{
+			node:   spec.ID,
+			dp:     dp,
+			cp:     cp,
+			events: swEvents.With(fmt.Sprint(spec.ID)),
+		})
 		obs.Register(spec.ID, dp.UnitIDs())
+	}
+
+	endpoints := len(n.sws) + 1
+	if cfg.UDP {
+		if n.tr, err = listenUDP(endpoints, cfg.Registry); err != nil {
+			return nil, err
+		}
+	} else {
+		n.tr = newChanTransport(endpoints, cfg.Registry)
 	}
 	return n, nil
 }
@@ -334,48 +277,35 @@ func durToSim(d time.Duration) sim.Duration {
 	return sim.Duration(d.Nanoseconds())
 }
 
-// now returns wall time since Start as protocol time.
+// now returns wall time since New as protocol time.
 func (n *Network) now() sim.Time {
 	return sim.Time(time.Since(n.started).Nanoseconds())
 }
 
-// Start launches the switch and observer goroutines, and the
-// observability HTTP server when MetricsAddr is configured. A metrics
-// server that fails to bind is reported on stderr but does not stop
-// the network.
+// send hands m to an endpoint, counting what the transport drops.
+func (n *Network) send(to int, m msg, wait bool) error {
+	err := n.tr.send(to, m, wait)
+	if err != nil {
+		n.tel.drops.Inc()
+	}
+	return err
+}
+
+// Start launches the switch and observer goroutines, the retry ticker,
+// and the observability HTTP server when MetricsAddr is configured. A
+// metrics server that fails to bind is reported on stderr but does not
+// stop the network.
 func (n *Network) Start() {
 	if n.cfg.MetricsAddr != "" {
-		mc := telemetry.MuxConfig{
-			Registry: n.cfg.Registry,
-			Tracer:   n.cfg.Tracer,
-			Health:   n.health,
-		}
-		if n.cfg.Journal != nil {
-			mc.Journal = journal.HTTPHandler(n.cfg.Journal.Events)
-			mc.Audit = audit.HTTPHandler(n.Audit)
-			jr := n.cfg.Journal
-			// No blocking source: live switches are real goroutines,
-			// there is no sharded simulation engine to attribute.
-			mc.EpochTrace = epochtrace.HTTPHandler(func() []*epochtrace.EpochTrace {
-				return epochtrace.Build(jr.Events())
-			}, nil)
-		}
-		if n.cfg.Snapstore != nil {
-			mc.Snapshots = snapstore.HTTPHandler(n.cfg.Snapstore.View)
-		}
-		if n.cfg.Invariants != nil {
-			mc.Invariants = invariant.HTTPHandler(n.cfg.Invariants)
-		}
-		srv, err := telemetry.ServeConfig(n.cfg.MetricsAddr, mc)
+		srv, err := telemetry.ServeConfig(n.cfg.MetricsAddr,
+			n.sink.MuxConfig(n.cfg.Registry, n.cfg.Tracer, nil))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "live: metrics server: %v\n", err)
 		} else {
 			n.metSrv = srv
 		}
 	}
-	n.started = time.Now()
 	for _, ls := range n.sws {
-		ls := ls
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -391,30 +321,20 @@ func (n *Network) Start() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			t := time.NewTicker(n.cfg.RetryEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					select {
-					case n.obsEvents <- obsEvent{kind: obsTick}:
-					case <-n.stop:
-						return
-					}
-				case <-n.stop:
-					return
-				}
-			}
+			n.runRetries()
 		}()
 	}
-	n.health.SetReady(true)
+	n.sink.Health().SetReady(true)
 }
 
-// Stop terminates all goroutines and the metrics server. It is
-// idempotent.
+// Stop terminates all goroutines, the transport and the metrics
+// server. It is idempotent.
 func (n *Network) Stop() {
-	n.health.SetReady(false)
+	n.sink.Health().SetReady(false)
+	n.obsMu.Lock()
 	n.stopped.Do(func() { close(n.stop) })
+	n.obsMu.Unlock()
+	n.tr.close()
 	n.wg.Wait()
 	if n.metSrv != nil {
 		_ = n.metSrv.Close()
@@ -422,42 +342,32 @@ func (n *Network) Stop() {
 	}
 }
 
+// isStopped reports whether Stop has begun.
+func (n *Network) isStopped() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // Registry returns the telemetry registry, or nil when disabled.
 func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }
 
 // Health returns the runtime's health state: ready between Start and
-// Stop. It backs the /healthz and /readyz probes.
-func (n *Network) Health() *telemetry.Health { return n.health }
+// Stop, and failing while the snapshot store lags the observer. It
+// backs the /healthz and /readyz probes.
+func (n *Network) Health() *telemetry.Health { return n.sink.Health() }
 
-// Journal returns the flight-recorder set, or nil when journaling is
-// disabled.
-func (n *Network) Journal() *journal.Set { return n.cfg.Journal }
+// Sink returns the observer's completion path, which also builds the
+// served endpoint set.
+func (n *Network) Sink() *sink.Sink { return n.sink }
 
 // Audit replays the journal and verifies every snapshot's consistency
-// invariants. Safe to call while the network is running (the rings
-// are dumped atomically). Nil when journaling is disabled.
-func (n *Network) Audit() *audit.Report {
-	if n.cfg.Journal == nil {
-		return nil
-	}
-	return audit.Run(n.cfg.Journal.Events(), audit.Config{
-		MaxID:        uint64(n.cfg.MaxID),
-		Wraparound:   n.cfg.WrapAround,
-		ChannelState: n.cfg.ChannelState,
-	})
-}
-
-// anomaly dumps the flight recorder to the OnAnomaly hook.
-func (n *Network) anomaly(reason string, id packet.SeqID) {
-	if n.cfg.OnAnomaly == nil {
-		return
-	}
-	size := n.cfg.FlightRecorderSize
-	if size <= 0 {
-		size = 512
-	}
-	n.cfg.OnAnomaly(reason, id, n.cfg.Journal.Tail(size))
-}
+// invariants. Safe to call while the network is running. Nil when
+// journaling is disabled.
+func (n *Network) Audit() *audit.Report { return n.sink.Audit() }
 
 // Tracer returns the snapshot-lifecycle tracer, or nil when disabled.
 func (n *Network) Tracer() *telemetry.Tracer { return n.cfg.Tracer }
@@ -475,33 +385,33 @@ func (n *Network) MetricsAddr() string {
 // both the data plane and the control plane state of the device, so
 // every unit stays linearizable.
 func (n *Network) runSwitch(ls *liveSwitch) {
+	ep := int(ls.node)
 	for {
-		select {
-		case <-n.stop:
+		m, ok := n.tr.recv(ep)
+		if !ok {
 			return
-		case ev := <-ls.inbox:
-			ls.events.Inc()
-			n.tel.events.Inc()
-			switch ev.kind {
-			case evPacket:
-				n.handlePacket(ls, ev.pkt, ev.port)
-			case evInitiate:
-				inits := ls.cp.Initiate(ev.snapshotID, n.now())
-				for _, init := range inits {
-					// The initiation continues through the egress unit
-					// of the same port, in order with data traffic
-					// (this goroutine is the FIFO).
-					n.handleEgress(ls, init.Pkt, init.Port)
-				}
-				n.drainNotifs(ls)
-				if ev.markers {
+		}
+		ls.events.Inc()
+		n.tel.events.Inc()
+		switch m.kind {
+		case msgData:
+			if m.port >= ls.dp.NumPorts() {
+				continue // a malformed datagram names no real port
+			}
+			n.handlePacket(ls, m.pkt, m.port)
+		case msgInitiate, msgRetry:
+			for _, init := range ls.cp.Initiate(m.id, n.now()) {
+				// The initiation continues through the egress unit
+				// of the same port, in order with data traffic
+				// (this goroutine is the FIFO).
+				n.handleEgress(ls, init.Pkt, init.Port)
+			}
+			n.drainNotifs(ls)
+			if m.kind == msgRetry {
+				if n.cfg.ChannelState {
 					n.injectMarkers(ls)
 				}
-			case evPoll:
 				ls.cp.Poll(n.now())
-				if ev.done != nil {
-					close(ev.done)
-				}
 			}
 		}
 	}
@@ -530,13 +440,7 @@ func (n *Network) handleEgress(ls *liveSwitch, pkt *packet.Packet, port int) {
 		// Non-blocking: a full inbox is a full link buffer, and the
 		// packet is dropped — blocking here could deadlock a cycle of
 		// mutually full switches.
-		next := n.sws[peer.Node]
-		select {
-		case next.inbox <- event{kind: evPacket, pkt: pkt, port: peer.Port}:
-			n.tel.inboxHighWater.SetMax(int64(len(next.inbox)))
-		default:
-			n.tel.inboxDrops.Inc()
-		}
+		n.send(int(peer.Node), msg{kind: msgData, pkt: pkt, port: peer.Port}, false)
 	case topology.PeerHost:
 		if res.StripHeader {
 			pkt.HasSnap = false
@@ -550,7 +454,7 @@ func (n *Network) handleEgress(ls *liveSwitch, pkt *packet.Packet, port int) {
 }
 
 // injectMarkers floods one marker broadcast per (ingress port, class)
-// through the switch and one wire hop outward, refreshing every FIFO
+// through the switch and one link hop outward, refreshing every FIFO
 // channel's snapshot ID (Section 6 liveness). The switch goroutine is
 // the FIFO, so ordering is inherently preserved.
 func (n *Network) injectMarkers(ls *liveSwitch) {
@@ -566,7 +470,7 @@ func (n *Network) injectMarkers(ls *liveSwitch) {
 	}
 }
 
-// broadcastHost marks marker broadcasts; they die after one wire hop's
+// broadcastHost marks marker broadcasts; they die after one link hop's
 // ingress processing (the FIB has no route for them).
 const broadcastHost = topology.HostID(0xFFFFFFFF)
 
@@ -583,163 +487,83 @@ func (n *Network) drainNotifs(ls *liveSwitch) {
 	}
 }
 
-// runObserver is the observer host's goroutine.
+// runObserver is the observer host's receive loop.
 func (n *Network) runObserver() {
+	for {
+		m, ok := n.tr.recv(n.obsEP)
+		if !ok {
+			return
+		}
+		if m.kind != msgResult {
+			continue
+		}
+		n.obsMu.Lock()
+		n.obs.OnResult(m.res, n.now())
+		n.obsMu.Unlock()
+	}
+}
+
+// runRetries drives the observer's recovery loop until Stop.
+func (n *Network) runRetries() {
+	t := time.NewTicker(n.cfg.RetryEvery)
+	defer t.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
-		case ev := <-n.obsEvents:
-			// +1: the event just dequeued was part of the backlog.
-			n.tel.obsHighWater.SetMax(int64(len(n.obsEvents)) + 1)
-			switch ev.kind {
-			case obsResult:
-				n.obs.OnResult(ev.result, n.now())
-			case obsBegin:
-				id, err := n.obs.Begin(n.now())
-				ev.begin <- beginReply{id: id, err: err}
-			case obsTick:
-				for _, act := range n.obs.CheckTimeouts(n.now()) {
-					for _, node := range act.Retry {
-						// Non-blocking: if the switch is saturated, the
-						// next tick retries again. Blocking here could
-						// deadlock against a switch blocked on the
-						// observer channel.
-						ls := n.sws[node]
-						select {
-						case ls.inbox <- event{kind: evInitiate, snapshotID: act.SnapshotID,
-							markers: n.cfg.ChannelState}:
-						default:
-							n.tel.inboxDrops.Inc()
-						}
-						select {
-						case ls.inbox <- event{kind: evPoll}:
-						default:
-							n.tel.inboxDrops.Inc()
-						}
-					}
-				}
+		case <-t.C:
+		}
+		n.obsMu.Lock()
+		acts := n.obs.CheckTimeouts(n.now())
+		n.obsMu.Unlock()
+		for _, act := range acts {
+			for _, node := range act.Retry {
+				// Non-blocking: if the switch is saturated, the next
+				// tick retries again. Blocking here could deadlock
+				// against a switch blocked on the observer.
+				n.send(int(node), msg{kind: msgRetry, id: act.SnapshotID}, false)
 			}
 		}
 	}
 }
 
-// onComplete runs on the observer goroutine when a snapshot finishes.
-func (n *Network) onComplete(g *observer.GlobalSnapshot) {
-	n.completed.Add(1)
-	if !g.Consistent {
-		n.anomaly(fmt.Sprintf("snapshot %d finalized inconsistent", g.ID), g.ID)
-	} else if len(g.Excluded) > 0 {
-		n.anomaly(fmt.Sprintf("snapshot %d finalized with %d device(s) excluded", g.ID, len(g.Excluded)), g.ID)
-	}
-	if st := n.cfg.Snapstore; st != nil {
-		ep := st.Ingest(g, 0)
-		st.RecordLag(n.completed.Load())
-		if eng := n.cfg.Invariants; eng != nil {
-			for _, viol := range eng.Eval(st.View(), ep) {
-				n.anomaly(viol.String(), g.ID)
-			}
-		}
-	}
-	n.mu.Lock()
-	n.done = append(n.done, g)
-	sub := n.subs[g.ID]
-	delete(n.subs, g.ID)
-	n.mu.Unlock()
-	if sub != nil {
-		sub <- g
-		close(sub)
-	}
-}
-
-// Inject sends a packet from a host into the network.
+// Inject sends a packet from a host into its edge switch.
 func (n *Network) Inject(host topology.HostID, pkt *packet.Packet) error {
 	h := n.topo.Host(host)
 	if h == nil {
 		return fmt.Errorf("live: unknown host %d", host)
 	}
-	pkt.SrcHost = uint32(host)
-	ls := n.sws[h.Node]
-	select {
-	case ls.inbox <- event{kind: evPacket, pkt: pkt, port: h.Port}:
-		n.tel.inboxHighWater.SetMax(int64(len(ls.inbox)))
-		return nil
-	case <-n.stop:
-		return fmt.Errorf("live: network stopped")
+	if n.isStopped() {
+		return errStopped
 	}
+	pkt.SrcHost = uint32(host)
+	return n.send(int(h.Node), msg{kind: msgData, pkt: pkt, port: h.Port}, true)
 }
 
 // TakeSnapshot begins a network-wide snapshot after the given delay and
 // returns its ID and a channel that yields the assembled global
 // snapshot once complete.
 func (n *Network) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	reply := make(chan beginReply, 1)
-	select {
-	case n.obsEvents <- obsEvent{kind: obsBegin, begin: reply}:
-	case <-n.stop:
-		return 0, nil, fmt.Errorf("live: network stopped")
+	n.obsMu.Lock()
+	if n.isStopped() {
+		n.obsMu.Unlock()
+		return 0, nil, errStopped
 	}
-	// The events channel is buffered, so the send can succeed even when
-	// the observer goroutine has already exited; the reply wait must
-	// also watch for shutdown.
-	var r beginReply
-	select {
-	case r = <-reply:
-	case <-n.stop:
-		return 0, nil, fmt.Errorf("live: network stopped")
+	id, err := n.obs.Begin(n.now())
+	if err != nil {
+		n.obsMu.Unlock()
+		return 0, nil, err
 	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	sub := make(chan *observer.GlobalSnapshot, 1)
-	n.mu.Lock()
-	n.subs[r.id] = sub
-	n.mu.Unlock()
+	sub := n.sink.Subscribe(id)
+	n.obsMu.Unlock()
 
 	time.AfterFunc(delay, func() {
-		for _, spec := range n.topo.Switches {
-			ls := n.sws[spec.ID]
-			select {
-			case ls.inbox <- event{kind: evInitiate, snapshotID: r.id}:
-			case <-n.stop:
-			}
+		for _, ls := range n.sws {
+			n.send(int(ls.node), msg{kind: msgInitiate, id: id}, true)
 		}
 	})
-	return r.id, sub, nil
+	return id, sub, nil
 }
-
-// CompletedEpochs returns how many global snapshots the observer has
-// assembled. Safe from any goroutine; with Snapstore.Sealed it yields
-// the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.completed.Load() }
 
 // Snapshots returns the snapshots completed so far.
-func (n *Network) Snapshots() []*observer.GlobalSnapshot {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*observer.GlobalSnapshot, len(n.done))
-	copy(out, n.done)
-	return out
-}
-
-// PollAll synchronously asks every switch control plane to poll its
-// registers (recovery path), returning when all have finished.
-func (n *Network) PollAll() {
-	var dones []chan struct{}
-	for _, spec := range n.topo.Switches {
-		done := make(chan struct{})
-		select {
-		case n.sws[spec.ID].inbox <- event{kind: evPoll, done: done}:
-			dones = append(dones, done)
-		case <-n.stop:
-			return
-		}
-	}
-	for _, d := range dones {
-		select {
-		case <-d:
-		case <-n.stop:
-			return
-		}
-	}
-}
+func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.sink.Snapshots() }

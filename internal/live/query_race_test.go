@@ -43,6 +43,10 @@ type servedState struct {
 // Run with -race, this also proves ingestion and the query plane
 // share no unsynchronized state.
 func TestConcurrentQueryVsIngest(t *testing.T) {
+	eachTransport(t, testConcurrentQueryVsIngest)
+}
+
+func testConcurrentQueryVsIngest(t *testing.T, udp bool) {
 	ls := leafSpine(t)
 	store := snapstore.New(snapstore.Config{Retention: 32, CheckpointEvery: 4})
 	eng := invariant.New(invariant.Config{})
@@ -55,8 +59,9 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 	eng.Register(invariant.Monotone("counters-monotone", units))
 
 	var anomalies atomic.Int32
-	n, err := New(Config{
+	n := startNet(t, Config{
 		Topo:        ls.Topology,
+		UDP:         udp,
 		Journal:     journal.NewSet(1 << 12),
 		Registry:    telemetry.NewRegistry(),
 		MetricsAddr: "127.0.0.1:0",
@@ -67,11 +72,6 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 			t.Logf("anomaly: %s", reason)
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
 	addr := n.MetricsAddr()
 	if addr == "" {
 		t.Fatal("metrics server did not bind")
@@ -79,24 +79,15 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 	base := "http://" + addr
 
 	// Traffic so sealed cuts carry real, changing counters.
-	var stopTraffic atomic.Bool
-	var wg sync.WaitGroup
 	for h := topology.HostID(0); h < 4; h++ {
-		h := h
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; !stopTraffic.Load(); i++ {
-				n.Inject(h, &packet.Packet{
-					DstHost: uint32((int(h) + 1 + i%5) % 6),
-					SrcPort: uint16(i), DstPort: 9000, Proto: 6, Size: 200,
-				})
-				if i%32 == 0 {
-					time.Sleep(time.Microsecond)
-				}
+		defer traffic(n, func(i int) (topology.HostID, *packet.Packet) {
+			return h, &packet.Packet{
+				DstHost: uint32((int(h) + 1 + i%5) % 6),
+				SrcPort: uint16(i), DstPort: 9000, Proto: 6, Size: 200,
 			}
-		}()
+		})()
 	}
+	var wg sync.WaitGroup
 
 	// Query hammer: each goroutine lists retained epochs, re-reads
 	// random ones, and checks internal consistency plus immutability
@@ -201,7 +192,6 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 		}
 	}
 	stopQuery.Store(true)
-	stopTraffic.Store(true)
 	wg.Wait()
 
 	if failure != "" {
@@ -221,49 +211,4 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 		t.Errorf("monotone invariant violated %d times on a clean campaign", v)
 	}
 	t.Logf("%d queries against %d sealed epochs, %d anomalies", queries.Load(), epochs, anomalies.Load())
-}
-
-// TestSnapstoreLagFlipsReadyz seeds artificial ingestion lag and
-// checks the readiness probe reports it.
-func TestSnapstoreLagFlipsReadyz(t *testing.T) {
-	ls := leafSpine(t)
-	store := snapstore.New(snapstore.Config{})
-	n, err := New(Config{
-		Topo:            ls.Topology,
-		MetricsAddr:     "127.0.0.1:0",
-		Snapstore:       store,
-		SnapstoreLagMax: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
-	base := "http://" + n.MetricsAddr()
-
-	get := func(path string) int {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return resp.StatusCode
-	}
-	if code := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("/readyz = %d before lag, want 200", code)
-	}
-	// Simulate the observer racing ahead of the store: completed
-	// epochs with nothing sealed.
-	n.completed.Store(5)
-	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz = %d with lag 5 > max 2, want 503", code)
-	}
-	if code := get("/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz = %d with failing check, want 503", code)
-	}
-	n.completed.Store(0)
-	if code := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("/readyz = %d after lag cleared, want 200", code)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,10 +19,15 @@ import (
 // the counters, spans, and HTTP endpoints agree with what happened.
 // Under -race this also proves the instrumentation is data-race free.
 func TestTelemetryUnderLoad(t *testing.T) {
+	eachTransport(t, testTelemetryUnderLoad)
+}
+
+func testTelemetryUnderLoad(t *testing.T, udp bool) {
 	ls := leafSpine(t)
 	var delivered atomic.Int64
 	n, err := New(Config{
 		Topo:        ls.Topology,
+		UDP:         udp,
 		MetricsAddr: "127.0.0.1:0",
 		OnDeliver:   func(*packet.Packet, topology.HostID) { delivered.Add(1) },
 	})
@@ -41,23 +45,12 @@ func TestTelemetryUnderLoad(t *testing.T) {
 		t.Fatal("metrics server not bound")
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			src := topology.HostID(i % 6)
-			dst := topology.HostID((i + 2) % 6)
-			n.Inject(src, &packet.Packet{
-				DstHost: uint32(dst), SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 200,
-			})
-			if i%32 == 0 {
-				time.Sleep(20 * time.Microsecond)
-			}
+	stopTraffic := traffic(n, func(i int) (topology.HostID, *packet.Packet) {
+		return topology.HostID(i % 6), &packet.Packet{
+			DstHost: uint32((i + 2) % 6), SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 200,
 		}
-	}()
-	defer func() { stop.Store(true); wg.Wait() }()
+	})
+	defer stopTraffic()
 
 	const rounds = 3
 	for i := 0; i < rounds; i++ {
@@ -122,8 +115,15 @@ func TestTelemetryUnderLoad(t *testing.T) {
 	if got := lat.Count(); got != rounds {
 		t.Errorf("completion latency observations = %d, want %d", got, rounds)
 	}
+	// The counter ticks just before each callback, so compare them once
+	// the traffic has stopped and the fabric has drained.
+	stopTraffic()
 	deliveredMetric := reg.Counter("speedlight_live_packets_delivered_total", "")
-	if got, saw := deliveredMetric.Value(), delivered.Load(); got == 0 || int64(got) > saw {
+	deadline := time.Now().Add(5 * time.Second)
+	for int64(deliveredMetric.Value()) != delivered.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got, saw := deliveredMetric.Value(), delivered.Load(); got == 0 || int64(got) != saw {
 		t.Errorf("delivered counter %d disagrees with callback count %d", got, saw)
 	}
 
@@ -144,8 +144,12 @@ func TestTelemetryUnderLoad(t *testing.T) {
 // TestTelemetryDisabledIsNil checks the disabled state: no registry, no
 // tracer, no metrics server — and the network still works.
 func TestTelemetryDisabledIsNil(t *testing.T) {
+	eachTransport(t, testTelemetryDisabledIsNil)
+}
+
+func testTelemetryDisabledIsNil(t *testing.T, udp bool) {
 	ls := leafSpine(t)
-	n, err := New(Config{Topo: ls.Topology})
+	n, err := New(Config{Topo: ls.Topology, UDP: udp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Full-packet wire format, used by transports that carry emulated
-// packets as bytes (internal/wire's UDP data plane):
+// packets as bytes (internal/live's UDP transport):
 //
 //	byte  0:     magic (0xA6)
 //	byte  1:     version (1)
