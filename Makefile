@@ -3,7 +3,7 @@
 
 SLVET := $(CURDIR)/bin/speedlightvet
 
-.PHONY: all help build test race lint hotgate vet bench-shards bench-json churn clean
+.PHONY: all help build test race lint hotgate vet bench-shards churn clean
 
 all: build lint hotgate test
 
@@ -19,10 +19,6 @@ help:
 	@echo "               their //speedlight:allocgate allocation gates"
 	@echo "  vet          plain go vet"
 	@echo "  bench-shards serial-vs-sharded scaling benchmarks (CI gate)"
-	@echo "  bench-json   regenerate BENCH_10.json (hot-path allocs/op,"
-	@echo "               trace-overhead pair, snapstore ingest/query"
-	@echo "               rates, events/sec, with the frozen pre-PR"
-	@echo "               baseline)"
 	@echo "  churn        seeded churn scenario suite under -race with"
 	@echo "               shuffled order, then all four CLI scenarios at"
 	@echo "               shards 1/4/8 (CI churn-scenarios gate)"
@@ -42,7 +38,7 @@ race:
 # protocol-invariant analyzer suite and runs it over every package
 # through the go vet driver. Standalone invocation
 # (`bin/speedlightvet ./...`) covers the same set including _test.go
-# files and adds -format=github|sarif for CI annotation output.
+# files and adds -format=github for CI annotation output.
 lint: $(SLVET)
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
 	if [ -n "$$unformatted" ]; then \
@@ -89,14 +85,6 @@ churn:
 	    echo "$$out" | grep "churn scenario" || exit 1; \
 	  done; \
 	done
-
-# bench-json reruns the hot-path, trace-overhead, snapstore and scaling
-# benchmarks and rewrites BENCH_10.json (committed) with after-numbers
-# from this machine next to the frozen pre-PR baseline. CI uploads the
-# file as an artifact and gates allocs/op == 0 on the hot-path
-# benchmarks plus traced throughput within 3% of the untraced baseline.
-bench-json:
-	sh scripts/bench_json.sh BENCH_10.json
 
 clean:
 	rm -rf bin

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -31,9 +30,9 @@ import (
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
 	"speedlight/internal/epochtrace"
-	"speedlight/internal/export"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/observer"
 	"speedlight/internal/reconcile"
 	"speedlight/internal/sim"
 	"speedlight/internal/snapstore"
@@ -72,7 +71,7 @@ func campaign() {
 		csvPath = flag.String("csv", "", "write all snapshot values to this CSV file")
 
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve observability endpoints (/metrics, /debug/vars, /debug/pprof, /trace, /healthz, /journal, /audit) on this address while the campaign runs")
+			"serve observability endpoints (/metrics, /debug/vars, /debug/pprof, /trace, /healthz, /readyz, /journal, /audit, /snapshots, /invariants, /trace/epoch, /trace/critical) on this address while the campaign runs")
 		traceOut = flag.String("trace-out", "", "write the campaign's Chrome trace_event JSON to this file (load in Perfetto)")
 		summary  = flag.Bool("summary", false, "print an end-of-run telemetry summary table")
 
@@ -84,7 +83,7 @@ func campaign() {
 			"write invariant status and violation history to this CSV file")
 
 		journalOut = flag.String("journal-out", "",
-			"write the flight-recorder journal to this file (.csv writes CSV, anything else JSON Lines)")
+			"write the flight-recorder journal to this file as JSON Lines")
 		auditRun = flag.Bool("audit", false,
 			"replay the journal after the campaign and print the consistency audit report (exit 1 on violations)")
 		flightDir = flag.String("flight-dir", "",
@@ -128,7 +127,7 @@ func campaign() {
 				fmt.Fprintf(os.Stderr, "flight recorder: %v\n", err)
 				return
 			}
-			werr := export.JournalJSONL(f, dump)
+			werr := journal.WriteJSONL(f, dump)
 			cerr := f.Close()
 			if werr != nil || cerr != nil {
 				fmt.Fprintf(os.Stderr, "flight recorder: writing %s: %v %v\n", path, werr, cerr)
@@ -196,7 +195,7 @@ func campaign() {
 			fatalf("metrics server: %v", err)
 		}
 		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /trace (Chrome), /healthz, /journal, /audit, /snapshots, /invariants, /trace/epoch, /trace/critical\n",
+		fmt.Printf("observability: http://%s/metrics (Prometheus), /debug/vars (Go runtime), /debug/pprof, /trace (Chrome), /healthz, /readyz, /journal, /audit, /snapshots, /invariants, /trace/epoch, /trace/critical\n",
 			srv.Addr())
 	}
 
@@ -245,7 +244,7 @@ func campaign() {
 		if err != nil {
 			fatalf("creating %s: %v", *csvPath, err)
 		}
-		if err := export.SnapshotsCSV(f, net.Inner().Snapshots()); err != nil {
+		if err := observer.SnapshotsCSV(f, net.Inner().Snapshots()); err != nil {
 			fatalf("writing csv: %v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -281,7 +280,7 @@ func campaign() {
 			fatalf("creating %s: %v", *snapstoreOut, err)
 		}
 		v := cfg.Snapstore.View()
-		if err := export.SnapshotsJSONL(f, v); err != nil {
+		if err := snapstore.WriteJSONL(f, v); err != nil {
 			fatalf("writing snapshot history: %v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -295,7 +294,7 @@ func campaign() {
 		if err != nil {
 			fatalf("creating %s: %v", *invariantsOut, err)
 		}
-		if err := export.InvariantsCSV(f, cfg.Invariants); err != nil {
+		if err := cfg.Invariants.FprintCSV(f); err != nil {
 			fatalf("writing invariants: %v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -311,12 +310,7 @@ func campaign() {
 			fatalf("creating %s: %v", *journalOut, err)
 		}
 		events := cfg.Journal.Events()
-		if strings.HasSuffix(*journalOut, ".csv") {
-			err = export.JournalCSV(f, events)
-		} else {
-			err = export.JournalJSONL(f, events)
-		}
-		if err != nil {
+		if err := journal.WriteJSONL(f, events); err != nil {
 			fatalf("writing journal: %v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -332,9 +326,9 @@ func campaign() {
 			fatalf("creating %s: %v", *traceEpochs, err)
 		}
 		if strings.HasSuffix(*traceEpochs, ".chrome.json") {
-			err = export.EpochTraceChromeTrace(f, traces)
+			err = epochtrace.WriteChromeTrace(f, traces)
 		} else {
-			err = export.EpochTraceJSONL(f, traces)
+			err = epochtrace.WriteJSONL(f, traces)
 		}
 		if err != nil {
 			fatalf("writing epoch traces: %v", err)
@@ -361,7 +355,7 @@ func campaign() {
 	if *auditRun {
 		rep := net.Audit()
 		fmt.Println("\naudit report:")
-		if err := export.AuditText(os.Stdout, rep); err != nil {
+		if err := rep.WriteText(os.Stdout); err != nil {
 			fatalf("writing audit report: %v", err)
 		}
 		_, inconsistent, _ := rep.Counts()
@@ -406,13 +400,12 @@ func printCritical(w io.Writer, r *epochtrace.Rollup) {
 	}
 }
 
-// doctor replays a journal dump offline (JSONL or CSV, auto-detected)
-// and prints the consistency audit report. Exits 1 when the audit
-// finds inconsistent snapshots or observer disagreements.
+// doctor replays a JSONL journal dump offline and prints the
+// consistency audit report. Exits 1 when the audit finds inconsistent
+// snapshots or observer disagreements.
 func doctor(args []string) {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	var (
-		format    = fs.String("format", "auto", "journal format: auto, jsonl, csv")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON instead of text")
 		maxID     = fs.Uint64("max-id", 0, "snapshot ID space override (journal's own config event wins)")
 		wrap      = fs.Bool("wraparound", true, "assume wraparound IDs when the journal has no config event")
@@ -420,7 +413,7 @@ func doctor(args []string) {
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: speedlight doctor [flags] <journal-file | http://host:port>")
-		fmt.Fprintln(os.Stderr, "reads a flight-recorder dump (JSONL or CSV; '-' for stdin) and audits it,")
+		fmt.Fprintln(os.Stderr, "reads a flight-recorder dump (JSONL; '-' for stdin) and audits it,")
 		fmt.Fprintln(os.Stderr, "or queries a running campaign's /snapshots, /invariants, and /trace/critical endpoints")
 		fs.PrintDefaults()
 	}
@@ -444,7 +437,7 @@ func doctor(args []string) {
 		defer f.Close()
 		in = f
 	}
-	events, err := readJournal(in, path, *format)
+	events, err := journal.ReadJSONL(in)
 	if err != nil {
 		fatalf("reading journal: %v", err)
 	}
@@ -455,9 +448,9 @@ func doctor(args []string) {
 		ChannelState: *chanState,
 	})
 	if *jsonOut {
-		err = export.AuditJSON(os.Stdout, rep)
+		err = rep.WriteJSON(os.Stdout)
 	} else {
-		err = export.AuditText(os.Stdout, rep)
+		err = rep.WriteText(os.Stdout)
 	}
 	if err != nil {
 		fatalf("writing report: %v", err)
@@ -615,36 +608,6 @@ func doctorURL(base string, jsonOut bool) {
 	}
 	if unhealthy {
 		os.Exit(1)
-	}
-}
-
-// readJournal parses a dump in either on-disk format. Auto-detection
-// prefers the file extension and falls back to sniffing the first
-// byte: a JSONL dump always starts with '{'.
-func readJournal(in *os.File, path, format string) ([]journal.Event, error) {
-	switch format {
-	case "jsonl":
-		return export.ReadJournalJSONL(in)
-	case "csv":
-		return export.ReadJournalCSV(in)
-	case "auto":
-		if strings.HasSuffix(path, ".csv") {
-			return export.ReadJournalCSV(in)
-		}
-		if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
-			return export.ReadJournalJSONL(in)
-		}
-		br := bufio.NewReader(in)
-		first, err := br.Peek(1)
-		if err != nil {
-			return nil, fmt.Errorf("empty journal: %w", err)
-		}
-		if first[0] == '{' {
-			return journal.ReadJSONL(br)
-		}
-		return journal.ReadCSV(br)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want auto, jsonl, csv)", format)
 	}
 }
 

@@ -614,6 +614,14 @@ func (r *Report) WriteText(w io.Writer) error {
 	return nil
 }
 
+// WriteJSON renders the report as indented JSON — the `speedlight
+// doctor -json` output and the /audit endpoint's default body.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
 // HTTPHandler serves the report produced by run as JSON, or the human
 // rendering with ?format=text — the /audit endpoint on the telemetry
 // mux.
@@ -632,9 +640,7 @@ func HTTPHandler(run func() *Report) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := rep.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

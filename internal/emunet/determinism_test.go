@@ -4,7 +4,7 @@ package emunet_test
 // be indistinguishable from the serial reference engine at the level of
 // every artifact the system can emit. For one seed, the flight-recorder
 // journal (JSONL), the consistency-audit report (JSON), and the full
-// snapshot set (JSON) must be byte-identical across engines, shard
+// snapshot set (CSV) must be byte-identical across engines, shard
 // counts, and GOMAXPROCS settings. See DESIGN.md ("Parallel
 // simulation") for the contract that makes this possible.
 
@@ -16,8 +16,9 @@ import (
 	"testing"
 
 	"speedlight/internal/emunet"
-	"speedlight/internal/export"
+	"speedlight/internal/epochtrace"
 	"speedlight/internal/journal"
+	"speedlight/internal/observer"
 	"speedlight/internal/reconcile"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
@@ -31,7 +32,7 @@ var _ reconcile.Fabric = (*emunet.Network)(nil)
 type artifacts struct {
 	journal   string // flight-recorder JSONL
 	audit     string // audit report JSON
-	snapshots string // snapshot set JSON
+	snapshots string // snapshot set CSV
 	epochs    string // reconstructed epoch-trace JSONL
 	churn     string // churn classification, one line per churn event
 	// disagreements is the audit's count of snapshots the observer
@@ -139,16 +140,16 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 
 	rep := n.Audit()
 	var jb, ab, sb, eb bytes.Buffer
-	if err := export.JournalJSONL(&jb, set.Events()); err != nil {
+	if err := journal.WriteJSONL(&jb, set.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.AuditJSON(&ab, rep); err != nil {
+	if err := rep.WriteJSON(&ab); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.SnapshotsJSON(&sb, n.Snapshots()); err != nil {
+	if err := observer.SnapshotsCSV(&sb, n.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.EpochTraceJSONL(&eb, n.EpochTraces()); err != nil {
+	if err := epochtrace.WriteJSONL(&eb, n.EpochTraces()); err != nil {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer
@@ -268,6 +269,28 @@ func TestDeterminismEquivalence(t *testing.T) {
 				diffArtifacts(t, fmt.Sprintf("shards=%d GOMAXPROCS=%d", shards, procs), serial, got)
 			})
 		}
+	}
+}
+
+// TestJournalJSONLRoundTrip decodes a real campaign's journal — every
+// event kind a channel-state run with link loss emits, merged across
+// the set — and checks that re-encoding it gives back the same bytes,
+// which is what `speedlight doctor` relies on when it audits a dump.
+func TestJournalJSONLRoundTrip(t *testing.T) {
+	want := runCampaign(t, testbedCampaign(42), 0).journal
+	evs, err := journal.ReadJSONL(bytes.NewReader([]byte(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("campaign recorded no journal events")
+	}
+	var buf bytes.Buffer
+	if err := journal.WriteJSONL(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Fatalf("JSONL round trip changed %d-event journal (%d bytes in, %d out)", len(evs), len(want), len(got))
 	}
 }
 

@@ -1031,9 +1031,6 @@ func contributorLess(a, b SyncContributor) bool {
 // shards; everything it records is order-independent (min/max with
 // deterministic tie-breaks, and a count).
 func (n *Network) recordSync(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int) {
-	if debugSync != nil {
-		debugSync(id, at, unit, channel)
-	}
 	if n.cfg.OnProgress != nil {
 		n.cfg.OnProgress(id, at)
 	}
@@ -1057,9 +1054,6 @@ func (n *Network) recordSync(id packet.SeqID, at sim.Time, unit dataplane.UnitID
 	}
 	w.count++
 }
-
-// debugSync, when non-nil, observes every sync record (tests only).
-var debugSync func(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int)
 
 // SyncDetail returns the earliest and latest notifications contributing
 // to a snapshot's synchronization window, for diagnosing stragglers.
@@ -1531,15 +1525,3 @@ func (n *Network) injectMarkers(es *EmuSwitch) {
 
 // RunFor advances the emulation.
 func (n *Network) RunFor(d sim.Duration) { n.eng.RunFor(d) }
-
-// SetDebugSync installs a test-only observer of sync records. The unit
-// argument is passed as a fmt.Stringer to keep the hook signature loose.
-func SetDebugSync(fn func(id packet.SeqID, at sim.Time, unit interface{ String() string }, channel int)) {
-	if fn == nil {
-		debugSync = nil
-		return
-	}
-	debugSync = func(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int) {
-		fn(id, at, unit, channel)
-	}
-}

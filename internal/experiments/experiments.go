@@ -25,6 +25,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -68,6 +69,15 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
+// FprintCSV writes the table as CSV: the header row, then the rows.
+func (t *Table) FprintCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
+	}
+	return cw.WriteAll(t.Rows)
+}
+
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
@@ -108,4 +118,22 @@ func (f *Figure) Fprint(w io.Writer) {
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
+}
+
+// FprintCSV writes the figure's series as long-form CSV: a
+// (series, x, y) header named after the axes, then one row per point.
+func (f *Figure) FprintCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"series", f.XLabel, f.YLabel}); err != nil {
+		return err
+	}
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			if err := cw.Write([]string{s.Name, fmt.Sprintf("%g", p.X), fmt.Sprintf("%g", p.Y)}); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

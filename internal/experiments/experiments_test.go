@@ -257,3 +257,43 @@ func TestFprintPlot(t *testing.T) {
 		t.Error("flat figure handling")
 	}
 }
+
+func TestFigureCSV(t *testing.T) {
+	f := &Figure{
+		XLabel: "x", YLabel: "y",
+		Series: []Series{
+			{Name: "a", Points: []Point{{X: 1, Y: 2}, {X: 3, Y: 4}}},
+			{Name: "b", Points: []Point{{X: 5, Y: 6}}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := f.FprintCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "series,x,y\na,1,2\na,3,4\nb,5,6\n"; got != want {
+		t.Errorf("FprintCSV = %q, want %q", got, want)
+	}
+
+	// An empty figure still writes its header.
+	buf.Reset()
+	if err := (&Figure{}).FprintCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "series,,\n" {
+		t.Errorf("empty figure = %q", got)
+	}
+}
+
+func TestTableCSV(t *testing.T) {
+	tb := &Table{
+		Header: []string{"k", "v"},
+		Rows:   [][]string{{"a", "1"}, {"b", "2"}},
+	}
+	var buf bytes.Buffer
+	if err := tb.FprintCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "k,v\na,1\nb,2\n"; got != want {
+		t.Errorf("FprintCSV = %q, want %q", got, want)
+	}
+}

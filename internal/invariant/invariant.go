@@ -16,7 +16,10 @@
 package invariant
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
+	"strconv"
 	"sync"
 
 	"speedlight/internal/packet"
@@ -200,4 +203,35 @@ func (e *Engine) Violations() []Violation {
 	out = append(out, e.history[e.start:]...)
 	out = append(out, e.history[:e.start]...)
 	return out
+}
+
+// FprintCSV writes the engine's standing and violation history as CSV:
+// one "status" row per registered invariant, then one "violation" row
+// per retained violation, oldest first.
+func (e *Engine) FprintCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{
+		"kind", "invariant", "epoch", "seq", "evals", "violations", "ok", "detail",
+	}); err != nil {
+		return err
+	}
+	for _, st := range e.Status() {
+		if err := cw.Write([]string{
+			"status", st.Name, strconv.FormatUint(uint64(st.LastEpoch), 10), "",
+			strconv.FormatUint(st.Evals, 10), strconv.FormatUint(st.Violations, 10),
+			strconv.FormatBool(st.OK), st.Detail,
+		}); err != nil {
+			return err
+		}
+	}
+	for _, v := range e.Violations() {
+		if err := cw.Write([]string{
+			"violation", v.Invariant, strconv.FormatUint(uint64(v.Epoch), 10), strconv.FormatUint(v.Seq, 10),
+			"", "", "false", v.Detail,
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -1,6 +1,8 @@
 package invariant_test
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -205,6 +207,36 @@ func TestHTTPHandler(t *testing.T) {
 	invariant.HTTPHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/invariants", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("nil engine: %d, want 503", rec.Code)
+	}
+}
+
+func TestInvariantsCSV(t *testing.T) {
+	s := snapstore.New(snapstore.Config{})
+	e := invariant.New(invariant.Config{})
+	u := unit(0, 1, dataplane.Ingress)
+	e.Register(invariant.Bound("headroom", []dataplane.UnitID{u}, 0, 0))
+	ep := seal(s, 7, map[dataplane.UnitID]uint64{u: 5})
+	e.Eval(s.View(), ep)
+
+	var buf bytes.Buffer
+	if err := e.FprintCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 { // header + 1 status + 1 violation
+		t.Fatalf("rows = %d, want 3:\n%v", len(rows), rows)
+	}
+	if rows[0][0] != "kind" || rows[0][1] != "invariant" {
+		t.Fatalf("header = %v", rows[0])
+	}
+	if rows[1][0] != "status" || rows[1][1] != "headroom" || rows[1][2] != "7" || rows[1][6] != "false" {
+		t.Fatalf("status row = %v", rows[1])
+	}
+	if rows[2][0] != "violation" || rows[2][2] != "7" || rows[2][7] == "" {
+		t.Fatalf("violation row = %v", rows[2])
 	}
 }
 

@@ -2,15 +2,11 @@ package journal
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
-
-	"speedlight/internal/packet"
 )
 
 // WriteJSONL writes events as JSON Lines, one event object per line —
@@ -48,129 +44,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// csvHeader is the column order shared by WriteCSV and ReadCSV.
-var csvHeader = []string{
-	"seq", "at_ns", "kind", "switch", "port", "dir", "channel",
-	"snapshot_id", "old_id", "new_id", "wire_id", "value", "flag",
-}
-
-// WriteCSV writes events as CSV with a header row.
-func WriteCSV(w io.Writer, events []Event) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := cw.Write([]string{
-			strconv.FormatUint(ev.Seq, 10),
-			strconv.FormatInt(ev.AtNs, 10),
-			ev.Kind.String(),
-			strconv.Itoa(ev.Switch),
-			strconv.Itoa(ev.Port),
-			ev.Dir.String(),
-			strconv.Itoa(ev.Channel),
-			strconv.FormatUint(uint64(ev.SnapshotID), 10),
-			strconv.FormatUint(uint64(ev.OldID), 10),
-			strconv.FormatUint(uint64(ev.NewID), 10),
-			strconv.FormatUint(uint64(ev.WireID.Raw()), 10),
-			strconv.FormatUint(ev.Value, 10),
-			strconv.FormatBool(ev.Flag),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV inverts WriteCSV. The header row is required.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("journal: reading CSV header: %w", err)
-	}
-	if len(header) != len(csvHeader) {
-		return nil, fmt.Errorf("journal: CSV header has %d columns, want %d", len(header), len(csvHeader))
-	}
-	for i, col := range csvHeader {
-		if header[i] != col {
-			return nil, fmt.Errorf("journal: CSV column %d is %q, want %q", i, header[i], col)
-		}
-	}
-	var out []Event
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ev, err := parseCSVRecord(rec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
-
-func parseCSVRecord(rec []string) (Event, error) {
-	var ev Event
-	var err error
-	fail := func(col string, e error) (Event, error) {
-		return Event{}, fmt.Errorf("journal: CSV column %s: %w", col, e)
-	}
-	if ev.Seq, err = strconv.ParseUint(rec[0], 10, 64); err != nil {
-		return fail("seq", err)
-	}
-	if ev.AtNs, err = strconv.ParseInt(rec[1], 10, 64); err != nil {
-		return fail("at_ns", err)
-	}
-	if ev.Kind, err = ParseKind(rec[2]); err != nil {
-		return fail("kind", err)
-	}
-	if ev.Switch, err = strconv.Atoi(rec[3]); err != nil {
-		return fail("switch", err)
-	}
-	if ev.Port, err = strconv.Atoi(rec[4]); err != nil {
-		return fail("port", err)
-	}
-	if ev.Dir, err = ParseDir(rec[5]); err != nil {
-		return fail("dir", err)
-	}
-	if ev.Channel, err = strconv.Atoi(rec[6]); err != nil {
-		return fail("channel", err)
-	}
-	snapID, err := strconv.ParseUint(rec[7], 10, 64)
-	if err != nil {
-		return fail("snapshot_id", err)
-	}
-	ev.SnapshotID = packet.SeqID(snapID)
-	oldID, err := strconv.ParseUint(rec[8], 10, 64)
-	if err != nil {
-		return fail("old_id", err)
-	}
-	ev.OldID = packet.SeqID(oldID)
-	newID, err := strconv.ParseUint(rec[9], 10, 64)
-	if err != nil {
-		return fail("new_id", err)
-	}
-	ev.NewID = packet.SeqID(newID)
-	wire, err := strconv.ParseUint(rec[10], 10, 32)
-	if err != nil {
-		return fail("wire_id", err)
-	}
-	ev.WireID = packet.WireIDFromRaw(uint32(wire))
-	if ev.Value, err = strconv.ParseUint(rec[11], 10, 64); err != nil {
-		return fail("value", err)
-	}
-	if ev.Flag, err = strconv.ParseBool(rec[12]); err != nil {
-		return fail("flag", err)
-	}
-	return ev, nil
 }
 
 // String renders an event for humans — the witness-chain format the
@@ -219,20 +92,12 @@ func (ev Event) String() string {
 	return b.String()
 }
 
-// HTTPHandler serves the events returned by src as JSONL, or CSV with
-// ?format=csv — the /journal endpoint on the telemetry mux.
+// HTTPHandler serves the events returned by src as JSONL — the
+// /journal endpoint on the telemetry mux.
 func HTTPHandler(src func() []Event) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		events := src()
-		if r.URL.Query().Get("format") == "csv" {
-			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-			if err := WriteCSV(w, events); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := WriteJSONL(w, events); err != nil {
+		if err := WriteJSONL(w, src()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

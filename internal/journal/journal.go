@@ -31,9 +31,10 @@
 // predicted branch per potential event and nothing else.
 //
 // The event stream is what internal/audit replays to verify the
-// paper's causal-consistency invariants mechanically (Sections 3-6);
-// internal/export serializes it for offline analysis and the
-// `speedlight doctor` subcommand.
+// paper's causal-consistency invariants mechanically (Sections 3-6).
+// JSON Lines (WriteJSONL, ReadJSONL) is its one interchange format:
+// flight dumps, -journal-out, /journal and `speedlight doctor` all use
+// it.
 package journal
 
 import (

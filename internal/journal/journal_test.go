@@ -215,30 +215,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	in := allEvents()
-	for i := range in {
-		in[i].Seq = uint64(i + 1)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("CSV round trip mismatch:\nin:  %+v\nout: %+v", in, out)
-	}
-}
-
-func TestReadCSVRejectsBadHeader(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b,c\n")); err == nil {
-		t.Fatal("want error for short header")
-	}
-}
-
 func TestKindAndDirParse(t *testing.T) {
 	for k, name := range kindNames {
 		got, err := ParseKind(name)
@@ -284,19 +260,6 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if !reflect.DeepEqual(evs, got) {
 		t.Fatalf("JSONL endpoint mismatch: %+v", got)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/journal?format=csv", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "csv") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	got, err = ReadCSV(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evs, got) {
-		t.Fatalf("CSV endpoint mismatch: %+v", got)
 	}
 }
 

@@ -51,13 +51,13 @@ func Main(analyzers ...*analysis.Analyzer) {
 	}
 	args = rest
 	switch format {
-	case "text", "github", "sarif":
+	case "text", "github":
 	default:
-		fmt.Fprintf(os.Stderr, "%s: unknown -format %q (want text, github, or sarif)\n", progname, format)
+		fmt.Fprintf(os.Stderr, "%s: unknown -format %q (want text or github)\n", progname, format)
 		os.Exit(1)
 	}
 	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: %s [-V=full | -flags | -format=text|github|sarif] [unit.cfg | packages...]\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-V=full | -flags | -format=text|github] [unit.cfg | packages...]\n", progname)
 		os.Exit(1)
 	}
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
@@ -94,8 +94,7 @@ func printVersion(progname string) {
 }
 
 // Finding is one diagnostic tagged with the analyzer that produced it,
-// so output formats (SARIF rule IDs, annotation titles) can name the
-// rule.
+// so GitHub annotation titles can name the rule.
 type Finding struct {
 	Analyzer string
 	analysis.Diagnostic
@@ -187,10 +186,6 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, format str
 	switch format {
 	case "github":
 		printGitHub(fset, all)
-	case "sarif":
-		if err := printSARIF(os.Stdout, fset, analyzers, all); err != nil {
-			return 0, err
-		}
 	default:
 		printDiagnostics(fset, all)
 	}

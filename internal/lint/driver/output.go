@@ -1,15 +1,11 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
-
-	"speedlight/internal/lint/analysis"
 )
 
 // printGitHub writes one GitHub Actions workflow command per finding:
@@ -29,99 +25,6 @@ func ghEscape(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// SARIF 2.1.0, the minimal subset code-scanning upload consumes: one
-// run, one rule per analyzer, one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// printSARIF writes the findings as one SARIF document.
-func printSARIF(w io.Writer, fset *token.FileSet, analyzers []*analysis.Analyzer, findings []Finding) error {
-	var rules []sarifRule
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: a.Doc},
-		})
-	}
-	results := []sarifResult{} // serialize as [], not null, when clean
-	for _, f := range findings {
-		pos := fset.Position(f.Pos)
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(relPath(pos.Filename))},
-					Region:           sarifRegion{StartLine: pos.Line, StartColumn: pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "speedlightvet", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }
 
 // relPath shortens name relative to the working directory when it can.

@@ -87,9 +87,6 @@ func testJournalAndHealthEndpoints(t *testing.T, udp bool) {
 	if err := json.Unmarshal(first, &ev); err != nil {
 		t.Fatalf("/journal first line is not an event: %v", err)
 	}
-	if code, body := get("/journal?format=csv"); code != http.StatusOK || len(body) == 0 {
-		t.Fatalf("/journal?format=csv = %d (%d bytes)", code, len(body))
-	}
 
 	code, body = get("/audit")
 	if code != http.StatusOK {

@@ -95,8 +95,8 @@ func testTelemetryUnderLoad(t *testing.T, udp bool) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if vars := get("/debug/vars"); !strings.Contains(vars, "speedlight") {
-		t.Error("/debug/vars missing speedlight map")
+	if vars := get("/debug/vars"); !strings.Contains(vars, "memstats") {
+		t.Error("/debug/vars missing Go's memstats")
 	}
 	if trace := get("/trace"); !strings.Contains(trace, "traceEvents") {
 		t.Error("/trace is not Chrome trace_event JSON")

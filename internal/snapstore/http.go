@@ -2,6 +2,7 @@ package snapstore
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -46,10 +47,44 @@ type regJSON struct {
 	Consistent bool   `json:"consistent"`
 }
 
-// stateJSON is the ?epoch=N DTO: metadata plus the reconstructed cut.
+// stateJSON is one epoch's metadata plus its reconstructed cut: the
+// ?epoch=N answer and one WriteJSONL line.
 type stateJSON struct {
 	epochJSON
 	Units []regJSON `json:"units"`
+}
+
+func stateToJSON(st *State) stateJSON {
+	out := stateJSON{epochJSON: epochToJSON(st.Epoch), Units: []regJSON{}}
+	for i, reg := range st.Regs {
+		if !reg.Present {
+			continue
+		}
+		out.Units = append(out.Units, regJSON{
+			Unit:       st.Units[i].String(),
+			Value:      reg.Value,
+			Consistent: reg.Consistent,
+		})
+	}
+	return out
+}
+
+// WriteJSONL writes a view as JSON Lines: one line per retained epoch,
+// oldest first, each carrying its reconstructed cut in dense unit
+// order. The view is immutable, so the dump is a consistent
+// point-in-time cut even while the store keeps sealing.
+func WriteJSONL(w io.Writer, v *View) error {
+	enc := json.NewEncoder(w)
+	for _, e := range v.Epochs() {
+		st, err := v.State(e.ID)
+		if err != nil {
+			return err
+		}
+		if err := enc.Encode(stateToJSON(st)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // diffJSON is the /snapshots/diff DTO.
@@ -128,18 +163,7 @@ func serveState(w http.ResponseWriter, r *http.Request, v *View, es string) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	out := stateJSON{epochJSON: epochToJSON(st.Epoch), Units: []regJSON{}}
-	for i, reg := range st.Regs {
-		if !reg.Present {
-			continue
-		}
-		out.Units = append(out.Units, regJSON{
-			Unit:       st.Units[i].String(),
-			Value:      reg.Value,
-			Consistent: reg.Consistent,
-		})
-	}
-	writeJSON(w, out)
+	writeJSON(w, stateToJSON(st))
 }
 
 func serveDiff(w http.ResponseWriter, r *http.Request, v *View) {

@@ -1,6 +1,7 @@
 package snapstore_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -100,5 +101,68 @@ func TestHTTPHandlerNilSource(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "no snapshot store") {
 		t.Fatalf("nil source body: %q", rec.Body.String())
+	}
+}
+
+func TestWriteJSONL(t *testing.T) {
+	s := snapstore.New(snapstore.Config{})
+	u0, u1, u2 := unit(0, 1, dataplane.Ingress), unit(0, 2, dataplane.Ingress), unit(1, 0, dataplane.Egress)
+	seal(s, 7, map[dataplane.UnitID]uint64{u2: 20, u1: 10, u0: 5})
+	seal(s, 8, map[dataplane.UnitID]uint64{u2: 21, u1: 10, u0: 5})
+
+	var buf bytes.Buffer
+	if err := snapstore.WriteJSONL(&buf, s.View()); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), buf.String())
+	}
+	var first struct {
+		Epoch uint64 `json:"epoch"`
+		Base  bool   `json:"base"`
+		Units []struct {
+			Unit  string `json:"unit"`
+			Value uint64 `json:"value"`
+		} `json:"units"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatalf("line 1: %v", err)
+	}
+	if first.Epoch != 7 || !first.Base {
+		t.Fatalf("line 1 = %+v, want epoch 7 base", first)
+	}
+	if len(first.Units) != 3 {
+		t.Fatalf("line 1 has %d units, want 3", len(first.Units))
+	}
+	// Dense unit order is the store's canonical (switch, port, dir)
+	// order from Ingest.
+	if first.Units[0].Unit != "sw0/p1/ingress" || first.Units[0].Value != 5 {
+		t.Fatalf("first unit = %+v", first.Units[0])
+	}
+
+	// Each line is the ?epoch=N answer, compacted: one encoding.
+	h := snapstore.HTTPHandler(s.View)
+	for i, id := range []string{"7", "8"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/snapshots?epoch="+id, nil))
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, rec.Body.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if compact.String() != lines[i] {
+			t.Fatalf("epoch %s: JSONL line\n%s\ndiffers from ?epoch= answer\n%s", id, lines[i], compact.String())
+		}
+	}
+}
+
+func TestWriteJSONLEmptyView(t *testing.T) {
+	s := snapstore.New(snapstore.Config{})
+	var buf bytes.Buffer
+	if err := snapstore.WriteJSONL(&buf, s.View()); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("empty view wrote %q", buf.String())
 	}
 }

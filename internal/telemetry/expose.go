@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -79,60 +78,6 @@ func mergeLabel(s *Series, name, value string) string {
 
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// HistogramJSON is a histogram's JSON exposition shape.
-type HistogramJSON struct {
-	Count   uint64            `json:"count"`
-	Sum     float64           `json:"sum"`
-	Max     float64           `json:"max"`
-	P50     float64           `json:"p50"`
-	P90     float64           `json:"p90"`
-	P99     float64           `json:"p99"`
-	Buckets map[string]uint64 `json:"buckets"`
-}
-
-// JSONValue returns the registry's state as a JSON-marshalable value:
-// counters and gauges as numbers, histograms as HistogramJSON, keyed by
-// full series name. This is what the expvar endpoint publishes.
-func (r *Registry) JSONValue() map[string]any {
-	out := make(map[string]any)
-	for _, s := range r.Gather() {
-		switch s.Kind {
-		case KindCounter:
-			out[s.FullName()] = s.Value
-		case KindGauge:
-			out[s.FullName()] = s.GaugeValue
-		case KindHistogram:
-			h := s.Hist
-			bounds := h.Bounds()
-			counts := h.BucketCounts()
-			buckets := make(map[string]uint64, len(counts))
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				le := "+Inf"
-				if i < len(bounds) {
-					le = formatFloat(bounds[i])
-				}
-				buckets[le] = c
-			}
-			out[s.FullName()] = HistogramJSON{
-				Count: h.Count(), Sum: h.Sum(), Max: h.Max(),
-				P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
-				Buckets: buckets,
-			}
-		}
-	}
-	return out
-}
-
-// WriteJSON renders the registry as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.JSONValue())
 }
 
 // WriteSummary renders a human-readable end-of-run table: counters and

@@ -12,31 +12,6 @@ import (
 	"time"
 )
 
-// expvarReg is the registry behind the process-wide "speedlight"
-// expvar. expvar.Publish is permanent and panics on duplicates, so the
-// variable is published once and indirects through this pointer —
-// tests and successive runs can swap registries freely.
-var (
-	expvarReg  atomic.Pointer[Registry]
-	expvarOnce sync.Once
-)
-
-// PublishExpvar exposes the registry under the "speedlight" expvar,
-// alongside the standard memstats/cmdline variables on /debug/vars.
-// Safe to call repeatedly; the latest registry wins.
-func PublishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("speedlight", expvar.Func(func() any {
-			reg := expvarReg.Load()
-			if reg == nil {
-				return nil
-			}
-			return reg.JSONValue()
-		}))
-	})
-}
-
 // NowNs returns the current wall-clock time in nanoseconds. It exists
 // so deterministic packages (sim, emunet) can take wall time as an
 // injected dependency — e.g. sim.(*Parallel).EnableBarrierMetrics —
@@ -183,19 +158,12 @@ func orNotAttached(mux *http.ServeMux, pattern string, h http.Handler, name stri
 	mux.Handle(pattern, h)
 }
 
-// NewMux builds the default observability endpoint set for a registry
-// and tracer. See NewMuxConfig for the full surface.
-func NewMux(r *Registry, tracer *Tracer) *http.ServeMux {
-	return NewMuxConfig(MuxConfig{Registry: r, Tracer: tracer})
-}
-
 // NewMuxConfig builds the observability endpoint set:
 //
 //	/metrics           Prometheus text format
-//	/debug/vars        expvar JSON (registry published as "speedlight")
+//	/debug/vars        Go runtime expvars (memstats, cmdline)
 //	/debug/pprof/...   net/http/pprof profiles
 //	/trace             Chrome trace_event JSON of snapshot lifecycles
-//	/spans             structured span JSON
 //	/healthz           liveness probe (200 ok / 503 + failing checks)
 //	/readyz            readiness probe (liveness + SetReady gate)
 //	/journal           flight-recorder events
@@ -211,7 +179,6 @@ func NewMux(r *Registry, tracer *Tracer) *http.ServeMux {
 // handler answer 503 "not attached" rather than 404, so a half-wired
 // process degrades explicitly instead of surprisingly.
 func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
-	PublishExpvar(cfg.Registry)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", cfg.Registry.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -224,10 +191,6 @@ func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = tracer.WriteChromeTrace(w)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = tracer.WriteJSON(w)
 	})
 	health := cfg.Health
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -257,12 +220,6 @@ type Server struct {
 	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
-}
-
-// Serve starts the default observability endpoints on addr (e.g.
-// ":9090"). See ServeConfig for the full surface.
-func Serve(addr string, r *Registry, tracer *Tracer) (*Server, error) {
-	return ServeConfig(addr, MuxConfig{Registry: r, Tracer: tracer})
 }
 
 // ServeConfig starts the observability endpoints described by cfg on

@@ -17,9 +17,9 @@ func probe(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 }
 
 func TestHealthzDefaultMux(t *testing.T) {
-	// NewMux without an explicit Health serves both probes passing: a
+	// A mux without an explicit Health serves both probes passing: a
 	// process answering HTTP is trivially live, and nothing gates it.
-	mux := NewMux(NewRegistry(), nil)
+	mux := NewMuxConfig(MuxConfig{Registry: NewRegistry()})
 	if code, body := probe(t, mux, "/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
 	}
@@ -105,14 +105,14 @@ func TestMuxJournalAuditRoutes(t *testing.T) {
 		t.Fatalf("/audit body = %q", body)
 	}
 	// Absent handlers answer 503 "not attached" rather than 404.
-	bare := NewMux(NewRegistry(), nil)
+	bare := NewMuxConfig(MuxConfig{Registry: NewRegistry()})
 	if code, _ := probe(t, bare, "/journal"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/journal on bare mux = %d, want 503", code)
 	}
 }
 
 func TestServeTimeoutsConfigured(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	srv, err := ServeConfig("127.0.0.1:0", MuxConfig{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

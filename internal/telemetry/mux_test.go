@@ -3,6 +3,7 @@ package telemetry
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -86,5 +87,41 @@ func TestMuxTraceSubpathsDistinctFromLifecycleTrace(t *testing.T) {
 	}
 	if code := muxGet(t, attached, "/trace/critical"); code != http.StatusOK {
 		t.Errorf("/trace/critical attached = %d, want 200", code)
+	}
+}
+
+// TestMuxesExposeOnlyTheirOwnRegistry builds two muxes over different
+// registries in one process: each serves its own registry on /metrics,
+// and neither leaks the other's series through /debug/vars, which
+// carries only Go's standard expvars.
+func TestMuxesExposeOnlyTheirOwnRegistry(t *testing.T) {
+	r1, r2 := NewRegistry(), NewRegistry()
+	r1.Counter("alpha_total", "").Inc()
+	r2.Counter("beta_total", "").Inc()
+	m1 := NewMuxConfig(MuxConfig{Registry: r1})
+	m2 := NewMuxConfig(MuxConfig{Registry: r2})
+	body := func(mux *http.ServeMux, path string) string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	for _, c := range []struct {
+		name      string
+		mux       *http.ServeMux
+		own, peer string
+	}{
+		{"mux 1", m1, "alpha_total", "beta_total"},
+		{"mux 2", m2, "beta_total", "alpha_total"},
+	} {
+		metrics := body(c.mux, "/metrics")
+		if !strings.Contains(metrics, c.own) || strings.Contains(metrics, c.peer) {
+			t.Errorf("%s /metrics: want %s and not %s:\n%s", c.name, c.own, c.peer, metrics)
+		}
+		if vars := body(c.mux, "/debug/vars"); strings.Contains(vars, c.peer) {
+			t.Errorf("%s /debug/vars exposes the other registry's %s", c.name, c.peer)
+		}
 	}
 }

@@ -155,17 +155,6 @@ func (t *Tracer) Spans() []SnapshotSpan {
 	return out
 }
 
-// WriteJSON renders the recorded spans as an indented JSON array.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	spans := t.Spans()
-	if spans == nil {
-		spans = []SnapshotSpan{}
-	}
-	return enc.Encode(spans)
-}
-
 // chromeEvent is one entry of the Chrome trace_event format.
 type chromeEvent struct {
 	Name string         `json:"name"`

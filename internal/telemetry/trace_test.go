@@ -120,7 +120,7 @@ func TestServeEndpoints(t *testing.T) {
 	tr.BeginSnapshot(1, 0)
 	tr.EndSnapshot(1, 10, true)
 
-	srv, err := Serve("127.0.0.1:0", reg, tr)
+	srv, err := ServeConfig("127.0.0.1:0", MuxConfig{Registry: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(vars), &decoded); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	if _, ok := decoded["speedlight"]; !ok {
-		t.Fatalf("/debug/vars missing speedlight var: %s", vars)
+	if _, ok := decoded["memstats"]; !ok {
+		t.Fatalf("/debug/vars missing memstats: %s", vars)
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
@@ -160,8 +160,7 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(trace), &struct{}{}); err != nil {
 		t.Fatalf("/trace not JSON: %v", err)
 	}
-	spans := get("/spans")
-	if !strings.Contains(spans, `"id": 1`) {
-		t.Fatalf("/spans missing span: %s", spans)
+	if !strings.Contains(trace, `"snapshot 1"`) {
+		t.Fatalf("/trace missing snapshot 1: %s", trace)
 	}
 }
